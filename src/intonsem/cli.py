@@ -11,7 +11,6 @@ individual, unreadable file).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -103,18 +102,16 @@ def _emit_dot(factors, diagram) -> str:
 
 def cmd_reduce(args) -> int:
     target = parse_type(args.target)
-    runs: list[tuple[list, list]] = []  # (word type lists or None, word tensors)
     if args.lexicon:
         lex = load_lexicon(args.lexicon)
         words = args.input.split()
         if not words:
             print("error: empty input", file=sys.stderr)
             return 2
-        combos = itertools.product(*[lex[w].types() for w in words])
-        reductions = []
-        for combo in combos:
-            for diagram in reduce(list(combo), target):
-                reductions.append((list(combo), diagram))
+        reductions = [
+            ([s.type for s in senses], diagram)
+            for senses, diagram in intonation._sense_reductions(lex, words, target)
+        ]
         factors = None
     else:
         t = parse_type(args.input)
@@ -149,9 +146,8 @@ def cmd_reduce(args) -> int:
             out["reductions"].append(item)
         print(_stable_json(out))
     else:
-        shown = factors if factors is not None else None
-        if shown is not None:
-            print("factors: " + " ".join(str(f) for f in shown))
+        if factors is not None:
+            print("factors: " + " ".join(str(f) for f in factors))
         if not grammatical:
             print(f"no reduction to '{target}'")
         for k, (combo, diagram) in enumerate(reductions, start=1):

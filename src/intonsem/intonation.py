@@ -15,11 +15,12 @@ means the same thing.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frobenius import boundary_tensor, mu_tensor
+from .frobenius import boundary_tensor
 from .lexicon import Lexicon, RHEME_BASE, THEME_BASE
 from .pregroup import PregroupType, ReductionDiagram, atom, reduce
 from .tensor import TypedTensor, compose
@@ -34,7 +35,6 @@ PATTERN_SPLIT = "split-theme"
 
 _THETA = atom(THEME_BASE)
 _RHO = atom(RHEME_BASE)
-_ROLE_ATOM = {THEME: _THETA, RHEME: _RHO}
 
 
 class AnnotationSyntaxError(ValueError):
@@ -178,54 +178,65 @@ class Analysis:
     meaning: SentenceMeaning
 
 
-def _plans(sentence: AnnotatedSentence) -> list[tuple[str, list[PregroupType]]]:
-    """Candidate (pattern, per-span target) assignments for this span shape."""
-    roles = sentence.roles
-    if len(roles) == 2:
-        return [(PATTERN_SINGLE, [_ROLE_ATOM[r] for r in roles])]
-    if roles == (RHEME, THEME, RHEME):
-        return [(PATTERN_DOUBLE, [_RHO, _THETA @ _THETA, _RHO])]
-    if roles == (THEME, RHEME, THEME):
-        return [
-            (PATTERN_SPLIT, [_THETA, _RHO, _THETA]),
-            (PATTERN_RELATIONAL, [_THETA, _RHO @ _RHO, _THETA]),
-        ]
-    raise InfelicitousStructure(
-        f"unsupported span pattern {'-'.join(roles)}: expected theme/rheme, "
-        "rheme-theme-rheme, or theme-rheme-theme"
-    )
+# Spider normal form of each span pattern: every boundary network over
+# the fixed basis is one spider, so the meaning is a generalized
+# element-wise product of the span values.  Roles -> candidate readings
+# (pattern, per-span targets, einsum spec) in canonical order.
+_PATTERNS: dict[tuple[str, ...], list[tuple[str, tuple[PregroupType, ...], str]]] = {
+    (THEME, RHEME): [(PATTERN_SINGLE, (_THETA, _RHO), "i,i->i")],
+    (RHEME, THEME): [(PATTERN_SINGLE, (_RHO, _THETA), "i,i->i")],
+    (RHEME, THEME, RHEME): [(PATTERN_DOUBLE, (_RHO, _THETA @ _THETA, _RHO), "i,ij,j->ij")],
+    (THEME, RHEME, THEME): [
+        (PATTERN_SPLIT, (_THETA, _RHO, _THETA), "i,i,i->i"),
+        (PATTERN_RELATIONAL, (_THETA, _RHO @ _RHO, _THETA), "i,ij,j->ij"),
+    ],
+}
 
 
-def _span_options(span: Span, lexicon: Lexicon, target: PregroupType) -> list[SpanTyping]:
-    """Every sense assignment and reduction taking the span to the target."""
-    sense_lists = [lexicon[w].senses for w in span.tokens]
+def _sense_reductions(
+    lexicon: Lexicon, words: Sequence[str], target: PregroupType
+) -> list[tuple[tuple[TypedTensor, ...], ReductionDiagram]]:
+    """Every (senses, reduction) taking the words to the target.
+
+    Sense combinations follow lexicon order, and each combination's
+    reductions follow the canonical reduction order.  Span typing and
+    ``intonsem reduce --lexicon`` both enumerate through here.
+    """
     out = []
-    for combo in itertools.product(*sense_lists):
+    for combo in itertools.product(*[lexicon[w].senses for w in words]):
         for diagram in reduce([s.type for s in combo], target):
-            out.append(SpanTyping(span, combo, diagram, target))
+            out.append((combo, diagram))
     return out
 
 
 def _derivations(
     sentence: AnnotatedSentence, lexicon: Lexicon
-) -> list[tuple[str, tuple[SpanTyping, ...]]]:
-    found: list[tuple[str, tuple[SpanTyping, ...]]] = []
+) -> list[tuple[str, str, list[list[SpanTyping]]]]:
+    """Per realizable reading: (pattern, einsum spec, options per span)."""
+    roles = sentence.roles
+    if roles not in _PATTERNS:
+        raise InfelicitousStructure(
+            f"unsupported span pattern {'-'.join(roles)}: expected theme/rheme, "
+            "rheme-theme-rheme, or theme-rheme-theme"
+        )
+    found = []
     failures: list[str] = []
-    for pattern, targets in _plans(sentence):
+    for pattern, targets, spec in _PATTERNS[roles]:
         options = [
-            _span_options(span, lexicon, tgt)
+            [
+                SpanTyping(span, senses, diagram, tgt)
+                for senses, diagram in _sense_reductions(lexicon, span.tokens, tgt)
+            ]
             for span, tgt in zip(sentence.spans, targets)
         ]
         empty = [k for k, opts in enumerate(options) if not opts]
-        if empty:
-            for k in empty:
-                failures.append(
-                    f"{pattern}: span {k + 1} {sentence.spans[k]} has no sense "
-                    f"assignment reducing to '{targets[k]}'"
-                )
-            continue
-        for combo in itertools.product(*options):
-            found.append((pattern, tuple(combo)))
+        for k in empty:
+            failures.append(
+                f"{pattern}: span {k + 1} {sentence.spans[k]} has no sense "
+                f"assignment reducing to '{targets[k]}'"
+            )
+        if not empty:
+            found.append((pattern, spec, options))
     if not found:
         raise InfelicitousStructure("; ".join(failures))
     return found
@@ -241,54 +252,33 @@ def type_spans(
     matrix type instead).  Raises InfelicitousStructure, naming the
     offending spans, when no sense combination works.
     """
-    return [typings for _, typings in _derivations(sentence, lexicon)]
-
-
-def _double_rheme_wiring(r1: np.ndarray, theme: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Merge each rheme into one wire of the theme matrix (two mu maps)."""
-    d = theme.shape[0]
-    m3 = mu_tensor(d)
-    a = np.tensordot(r1, m3, axes=(0, 0))
-    b = np.tensordot(a, theme, axes=(0, 0))
-    c = np.tensordot(b, m3, axes=(1, 0))
-    return np.tensordot(c, r2, axes=(1, 0))
-
-
-def _combine(pattern: str, roles: tuple[str, ...], arrays: list[np.ndarray]) -> np.ndarray:
-    if pattern == PATTERN_SINGLE:
-        theme = arrays[roles.index(THEME)]
-        rheme = arrays[roles.index(RHEME)]
-        if theme.shape != rheme.shape:
-            raise InfelicitousStructure(
-                f"dimension mismatch between theme {theme.shape} and rheme {rheme.shape}"
-            )
-        return theme * rheme
-    if pattern == PATTERN_DOUBLE:
-        r1, m, r2 = arrays
-        return _double_rheme_wiring(r1, m, r2)
-    if pattern == PATTERN_RELATIONAL:
-        t1, m, t2 = arrays
-        return np.outer(t1, t2) * m
-    if pattern == PATTERN_SPLIT:
-        t1, r, t2 = arrays
-        return t1 * r * t2
-    raise ValueError(f"unknown pattern {pattern!r}")
+    return [
+        combo
+        for _, _, options in _derivations(sentence, lexicon)
+        for combo in itertools.product(*options)
+    ]
 
 
 def analyses(sentence: AnnotatedSentence, lexicon: Lexicon) -> list[Analysis]:
     """Every derivation of the sentence with its meaning, canonical order.
 
+    Each pattern's meaning is one einsum over the span values:
+    single-rheme ``i,i->i``, split-theme ``i,i,i->i``, double-rheme and
+    relational-rheme ``i,ij,j->ij`` (the matrix span in the middle).
     Patterns are tried in a fixed order (for theme-rheme-theme: the
     all-vector split-theme reading before the matrix relational-rheme
     reading); within a pattern, sense combinations follow lexicon order
-    and reductions follow the canonical reduction order.
+    and reductions follow the canonical reduction order.  Each span
+    option is composed once, however many derivations share it.
     """
     lexicon.shared_dim()
     out = []
-    for pattern, typings in _derivations(sentence, lexicon):
-        values = tuple(t.value() for t in typings)
-        arr = _combine(pattern, sentence.roles, [v.array for v in values])
-        out.append(Analysis(pattern, typings, values, SentenceMeaning(arr, pattern)))
+    for pattern, spec, options in _derivations(sentence, lexicon):
+        valued = [[(t, t.value()) for t in opts] for opts in options]
+        for combo in itertools.product(*valued):
+            typings, values = zip(*combo)
+            arr = np.einsum(spec, *(v.array for v in values))
+            out.append(Analysis(pattern, typings, values, SentenceMeaning(arr, pattern)))
     return out
 
 
@@ -296,8 +286,8 @@ def meaning(sentence: AnnotatedSentence, lexicon: Lexicon) -> SentenceMeaning:
     """The meaning of the first derivation (see :func:`analyses`).
 
     For the general theme/rheme case this is the element-wise product of
-    the two span vectors; the three-span patterns dispatch to their own
-    combination rules.
+    the two span vectors; the three-span patterns contract their span
+    values by the einsum of their spider normal form.
     """
     return analyses(sentence, lexicon)[0].meaning
 
@@ -305,6 +295,14 @@ def meaning(sentence: AnnotatedSentence, lexicon: Lexicon) -> SentenceMeaning:
 def _pattern_meaning(
     sentence: AnnotatedSentence, lexicon: Lexicon, pattern: str
 ) -> SentenceMeaning:
+    # the three-span patterns each sit in exactly one row of the table
+    roles = next(
+        r for r, readings in _PATTERNS.items() if any(p == pattern for p, _, _ in readings)
+    )
+    if sentence.roles != roles:
+        raise InfelicitousStructure(
+            f"expected a {'-'.join(roles)} sentence, got {'-'.join(sentence.roles)}"
+        )
     for a in analyses(sentence, lexicon):
         if a.pattern == pattern:
             return a.meaning
@@ -322,10 +320,6 @@ def meaning_multiple_rhemes(
     merged into one of its wires, so the result is
     (rheme1 (x) rheme2) (.) theme-matrix.
     """
-    if sentence.roles != (RHEME, THEME, RHEME):
-        raise InfelicitousStructure(
-            f"expected a rheme-theme-rheme sentence, got {'-'.join(sentence.roles)}"
-        )
     return _pattern_meaning(sentence, lexicon, PATTERN_DOUBLE)
 
 
@@ -335,10 +329,6 @@ def meaning_split_theme(
     """Order-1 meaning of a theme-rheme-theme sentence with vector spans:
     theme1 (.) rheme (.) theme2 (the spider normal form of the two
     chained boundaries)."""
-    if sentence.roles != (THEME, RHEME, THEME):
-        raise InfelicitousStructure(
-            f"expected a theme-rheme-theme sentence, got {'-'.join(sentence.roles)}"
-        )
     return _pattern_meaning(sentence, lexicon, PATTERN_SPLIT)
 
 

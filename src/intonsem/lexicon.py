@@ -227,8 +227,9 @@ def load_lexicon(path: str | Path) -> Lexicon:
     if not isinstance(raw, dict) or "dims" not in raw or "entries" not in raw:
         raise LexiconError(f"{path}: expected an object with 'dims' and 'entries'")
     dims = raw["dims"]
+    # exact type checks throughout: JSON true/false load as bool, an int subclass
     if not isinstance(dims, dict) or not all(
-        isinstance(k, str) and isinstance(v, int) and v >= 1 for k, v in dims.items()
+        isinstance(k, str) and type(v) is int and v >= 1 for k, v in dims.items()
     ):
         raise LexiconError(f"{path}: 'dims' must map base names to positive integers")
 
@@ -273,16 +274,22 @@ def load_lexicon(path: str | Path) -> Lexicon:
                 raise LexiconError(
                     f"{where} ({word!r}): need 'shape' and 'data' (or 'data_ref')"
                 )
-            shape = tuple(item["shape"])
-            data = item["data"]
-            if not all(isinstance(d, int) and d >= 1 for d in shape):
-                raise LexiconError(f"{where} ({word!r}): bad shape {item['shape']}")
+            shape, data = item["shape"], item["data"]
+            if not isinstance(shape, list) or not all(type(d) is int and d >= 1 for d in shape):
+                raise LexiconError(f"{where} ({word!r}): bad shape {shape}")
+            if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+                raise LexiconError(f"{where} ({word!r}): 'data' must be a flat list of numbers")
             if len(data) != math.prod(shape):
                 raise LexiconError(
                     f"{where} ({word!r}): data length {len(data)} does not fill "
-                    f"shape {list(shape)}"
+                    f"shape {shape}"
                 )
-            arr = np.asarray(data, dtype=np.float64).reshape(shape)
+            try:
+                arr = np.asarray(data, dtype=np.float64).reshape(shape)
+            except OverflowError:
+                raise LexiconError(f"{where} ({word!r}): data value out of float range") from None
+        if not np.isfinite(arr).all():
+            raise LexiconError(f"{where} ({word!r}): data holds NaN or infinity")
         if arr.shape != expected:
             raise LexiconError(
                 f"shape mismatch for word {word!r}, sense '{type_}': "

@@ -165,6 +165,29 @@ class TestMeaning:
         assert code == 2
         assert "unclosed" in err
 
+    @pytest.mark.parametrize("data", ["[NaN, 1]", "[Infinity, 1]", '["x", 1]'])
+    def test_bad_lexicon_data_exits_two(self, run, tmp_path, data):
+        p = tmp_path / "lex.json"
+        p.write_text(
+            '{"dims": {"n": 2, "s": 2, "theta": 2, "rho": 2}, "entries": ['
+            '{"word": "t", "type": "theta", "shape": [2], "data": %s}, '
+            '{"word": "r", "type": "rho", "shape": [2], "data": [1, 2]}]}' % data
+        )
+        for argv in (
+            ("meaning", "{T t} {R r}", "--lexicon", str(p), "--format", "json"),
+            ("compare", "{T t} {R r}", "{T t} {R r}", "--lexicon", str(p)),
+        ):
+            code, out, err = run(*argv)
+            assert (code, out) == (2, "")
+            assert "entry 1 ('t')" in err
+
+    def test_bool_dimension_exits_two(self, run, tmp_path):
+        p = tmp_path / "lex.json"
+        p.write_text('{"dims": {"n": true, "s": 1, "theta": 1, "rho": 1}, "entries": []}')
+        code, _, err = run("meaning", "{T t} {R r}", "--lexicon", str(p))
+        assert code == 2
+        assert "positive integers" in err
+
     def test_deterministic_output(self, run, lexicon_path):
         a = run("meaning", "{R John} likes {R Mary}", "--lexicon", lexicon_path,
                 "--format", "json")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from intonsem import intonation
 from intonsem.frobenius import spider
 from intonsem.intonation import (
     PATTERN_DOUBLE,
@@ -344,6 +345,20 @@ class TestRelationalRheme:
         assert np.array_equal(got.array, want)
 
 
+    def test_random_floats_match_outer_product(self):
+        rng = np.random.default_rng(18)
+        for d in (2, 5, 50):
+            t1, t2 = rng.standard_normal(d), rng.standard_normal(d)
+            m = rng.standard_normal((d, d))
+            lex = _lex(
+                _uniform_dims(d),
+                {"a": [("theta", t1)], "b": [("theta", t2)], "rel": [("rho rho", m)]},
+            )
+            got = meaning(parse_annotated("{T a} {R rel} {T b}"), lex)
+            assert got.pattern == PATTERN_RELATIONAL
+            assert np.allclose(got.array, np.outer(t1, t2) * m, rtol=1e-12, atol=1e-12)
+
+
 class TestSplitTheme:
     def test_fixture_value(self, example_lexicon):
         got = meaning_split_theme(
@@ -443,6 +458,30 @@ class TestAmbiguity:
         assert len(got) == 2
         values = sorted(tuple(a.meaning.array) for a in got)
         assert values == sorted([tuple(run_vec), tuple(fast_vec)])
+
+    def test_each_span_option_composed_once(self, monkeypatch):
+        # 2 theme options x 2 rheme options: 4 derivations share 4 span values
+        d = 3
+        rng = np.random.default_rng(19)
+        lex = _lex(
+            _uniform_dims(d),
+            {
+                "she": [("theta", rng.standard_normal(d)), ("theta theta.l", np.eye(d))],
+                "sang": [("theta.r theta", np.eye(d)), ("theta", rng.standard_normal(d))],
+                "run": [("rho", rng.standard_normal(d)), ("rho rho.l", np.eye(d))],
+                "fast": [("rho.r rho", np.eye(d)), ("rho", rng.standard_normal(d))],
+            },
+        )
+        calls = []
+
+        def counting_compose(words, diagram):
+            calls.append(diagram)
+            return compose(words, diagram)
+
+        monkeypatch.setattr(intonation, "compose", counting_compose)
+        got = analyses(parse_annotated("{T she sang} {R run fast}"), lex)
+        assert len(got) == 4
+        assert len(calls) == 4
 
     def test_deterministic_order(self, example_lexicon):
         s = parse_annotated("Mary likes {R musicals}")

@@ -135,6 +135,65 @@ class TestLoadErrors:
         with pytest.raises(LexiconError, match="data length 1"):
             load_lexicon(p)
 
+    @pytest.mark.parametrize("data", [["x", 0], [[1], [0]], [True, 0], "10"])
+    def test_non_numeric_inline_data(self, write_lexicon, data):
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [{"word": "x", "type": "n", "shape": [2], "data": data}],
+            }
+        )
+        with pytest.raises(LexiconError, match="flat list of numbers"):
+            load_lexicon(p)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_inline_data(self, write_lexicon, bad):
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [{"word": "x", "type": "n", "shape": [2], "data": [bad, 0]}],
+            }
+        )
+        with pytest.raises(LexiconError, match="NaN or infinity"):
+            load_lexicon(p)
+
+    def test_inline_data_beyond_float_range(self, tmp_path):
+        p = tmp_path / "lex.json"
+        p.write_text(
+            '{"dims": {"n": 2, "s": 1, "theta": 2, "rho": 2}, "entries": '
+            '[{"word": "x", "type": "n", "shape": [2], "data": [1%s, 0]}]}' % ("0" * 400)
+        )
+        with pytest.raises(LexiconError, match="out of float range"):
+            load_lexicon(p)
+
+    def test_non_finite_sidecar_value(self, tmp_path, write_lexicon):
+        (tmp_path / "v.tsv").write_text("x\t1 nan\n")
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [{"word": "x", "type": "n", "data_ref": "v.tsv"}],
+            }
+        )
+        with pytest.raises(LexiconError, match="NaN or infinity"):
+            load_lexicon(p)
+
+    @pytest.mark.parametrize("where", ["dims", "shape"])
+    def test_bool_is_not_a_dimension(self, write_lexicon, where):
+        dims = {"n": 2, "s": 1, "theta": 2, "rho": 2}
+        shape = [2]
+        if where == "dims":
+            dims["s"] = True
+        else:
+            shape = [True, 2]
+        p = write_lexicon(
+            {
+                "dims": dims,
+                "entries": [{"word": "x", "type": "n", "shape": shape, "data": [1, 0]}],
+            }
+        )
+        with pytest.raises(LexiconError, match="positive integers|bad shape"):
+            load_lexicon(p)
+
     def test_data_ref_requires_vector_type(self, tmp_path, write_lexicon):
         (tmp_path / "v.tsv").write_text("x\t1 0 1 0\n")
         p = write_lexicon(
