@@ -22,7 +22,14 @@ import numpy as np
 
 from .frobenius import boundary_tensor
 from .lexicon import Lexicon, RHEME_BASE, THEME_BASE
-from .pregroup import PregroupType, ReductionDiagram, atom, reduce
+from .pregroup import (
+    PregroupType,
+    ReductionDiagram,
+    atom,
+    chart_reductions,
+    closest_residual,
+    reduce,
+)
 from .tensor import TypedTensor, compose
 
 THEME = "theme"
@@ -202,11 +209,13 @@ def _sense_reductions(
     reductions follow the canonical reduction order.  Span typing and
     ``intonsem reduce --lexicon`` both enumerate through here.
     """
-    out = []
-    for combo in itertools.product(*[lexicon[w].senses for w in words]):
-        for diagram in reduce([s.type for s in combo], target):
-            out.append((combo, diagram))
-    return out
+    senses = [lexicon[w].senses for w in words]
+    return [
+        (tuple(options[k] for options, k in zip(senses, choice)), diagram)
+        for choice, diagram in chart_reductions(
+            [[s.type for s in options] for options in senses], target
+        )
+    ]
 
 
 def _derivations(
@@ -220,25 +229,28 @@ def _derivations(
             "rheme-theme-rheme, or theme-rheme-theme"
         )
     found = []
-    failures: list[str] = []
+    failures: list[tuple[str, int, PregroupType]] = []
+    # readings of one sentence can share a span's target
+    typed: dict[tuple[int, PregroupType], list[SpanTyping]] = {}
     for pattern, targets, spec in _PATTERNS[roles]:
-        options = [
-            [
-                SpanTyping(span, senses, diagram, tgt)
-                for senses, diagram in _sense_reductions(lexicon, span.tokens, tgt)
-            ]
-            for span, tgt in zip(sentence.spans, targets)
-        ]
+        for k, (span, tgt) in enumerate(zip(sentence.spans, targets)):
+            if (k, tgt) not in typed:
+                typed[k, tgt] = [
+                    SpanTyping(span, senses, diagram, tgt)
+                    for senses, diagram in _sense_reductions(lexicon, span.tokens, tgt)
+                ]
+        options = [typed[k, tgt] for k, tgt in enumerate(targets)]
         empty = [k for k, opts in enumerate(options) if not opts]
-        for k in empty:
-            failures.append(
-                f"{pattern}: span {k + 1} {sentence.spans[k]} has no sense "
-                f"assignment reducing to '{targets[k]}'"
-            )
+        failures.extend((pattern, k, targets[k]) for k in empty)
         if not empty:
             found.append((pattern, spec, options))
     if not found:
-        raise InfelicitousStructure("; ".join(failures))
+        raise InfelicitousStructure("; ".join(
+            f"{pattern}: span {k + 1} {sentence.spans[k]} has no sense assignment "
+            f"reducing to '{target}'; best reached: "
+            f"'{closest_residual([lexicon[w].types() for w in sentence.spans[k].tokens])}'"
+            for pattern, k, target in failures
+        ))
     return found
 
 
@@ -250,7 +262,8 @@ def type_spans(
     Each span must reduce to its role's target type (the theme or rheme
     atom; the middle span of the three-span patterns may carry the
     matrix type instead).  Raises InfelicitousStructure, naming the
-    offending spans, when no sense combination works.
+    offending spans and the shortest type each reaches, when no sense
+    combination works.
     """
     return [
         combo

@@ -1,4 +1,4 @@
-"""Pregroup type algebra and planar reduction search.
+"""Pregroup type algebra and the chart parser over word-type alternatives.
 
 A pregroup type is a sequence of simple types.  Each simple type is an
 atomic base name together with an integer adjoint order ``z``: negative
@@ -9,14 +9,24 @@ Grammaticality of a sequence of types is witnessed by a reduction: a
 planar set of links, each link cancelling a pair of simple types under
 the rule base(i) == base(j) and z(j) == z(i) + 1 for i < j, such that
 the unlinked survivors spell out the target type.  Contractions alone
-suffice to decide reducibility to a plain target, so the search below
-never needs to introduce expansions.
+suffice to decide reducibility to a plain target, so the parser never
+needs to introduce expansions.
+
+Parsing is an interval chart over the word-sense lattice (after Preller,
+"Linear processing with pregroups", and Moroz, "Parsing pregroup
+grammars in polynomial time"): each word contributes one path per
+candidate type, and a chart cell records whether the factors between two
+gaps of the lattice can cancel to the unit.  A sequence reduces to a
+plain target t exactly when the sequence followed by t.r cancels to the
+unit, so one kind of cell serves both.  Filling the chart is cubic in
+the number of lattice factors; reductions are then enumerated from the
+filled cells, at a cost that grows with the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class TypeSyntaxError(ValueError):
@@ -214,9 +224,13 @@ class ReductionDiagram:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ReductionDiagram":
+        """Read the wire form; raises ValueError for a crossing diagram."""
         links = tuple(sorted((i - 1, j - 1) for i, j in obj["links"]))
         survivors = tuple(sorted(k - 1 for k in obj["survivors"]))
-        return cls(links, survivors, 2 * len(links) + len(survivors))
+        diagram = cls(links, survivors, 2 * len(links) + len(survivors))
+        if not diagram.is_planar():
+            raise ValueError(f"links {obj['links']} cross: a reduction diagram is planar")
+        return diagram
 
 
 def flatten(types: Sequence[PregroupType]) -> list[SimpleType]:
@@ -224,37 +238,215 @@ def flatten(types: Sequence[PregroupType]) -> list[SimpleType]:
     return [f for t in types for f in t]
 
 
-def _enumerate_reductions(
-    factors: Sequence[SimpleType], target: Sequence[SimpleType]
-) -> Iterator[ReductionDiagram]:
-    """Depth-first scan: each factor either links to the top of the stack
-    of open factors or is pushed as a potential survivor.  Every planar
-    reduction arises from exactly one choice sequence."""
-    n, m = len(factors), len(target)
-    stack: list[int] = []
-    links: list[tuple[int, int]] = []
+class _Chart:
+    """The cancellation chart of a word-sense lattice.
 
-    def scan(i: int) -> Iterator[ReductionDiagram]:
-        rest = n - i
-        # The stack can shrink by at most one per remaining factor, and
-        # its size changes parity with each step.
-        if abs(len(stack) - m) > rest or (len(stack) + rest - m) % 2:
-            return
-        if i == n:
-            if all(factors[k] == t for k, t in zip(stack, target)):
-                yield ReductionDiagram(tuple(sorted(links)), tuple(stack), n)
-            return
-        if stack and cancels(factors[stack[-1]], factors[i]):
-            top = stack.pop()
-            links.append((top, i))
-            yield from scan(i + 1)
-            links.pop()
-            stack.append(top)
-        stack.append(i)
-        yield from scan(i + 1)
-        stack.pop()
+    Gaps are numbered left to right: gap 0 precedes the first word and
+    ``end`` follows the last.  Each factor of each sense is an edge from
+    one gap to the next, and an empty sense is a single edge with no
+    factor, so a path from gap 0 to ``end`` picks one sense per word.
 
-    return scan(0)
+    ``unit[a]`` is the bit set of gaps b such that some path from a to
+    b cancels to the unit: its first factor links to a cancelling
+    partner, the factors between them cancel, and so does the rest.
+    ``partners[e]`` lists the edges that edge e can link to over a
+    cancelling inside.  Filling the chart takes O(n^3) steps for n
+    factors.
+    """
+
+    def __init__(self, alternatives: Sequence[Sequence[PregroupType]]):
+        self.sizes = [[len(t.factors) for t in senses] for senses in alternatives]
+        self.bounds = [0]
+        self.out: list[list[int]] = [[]]
+        # per edge: (source gap, word, sense, position in the sense, factor)
+        self.edges: list[tuple[int, int, int, int, SimpleType | None]] = []
+        self.dst: list[int] = []
+        self.key: list[tuple[str, int] | None] = []
+        # (base, z) -> bit set of the gaps that edges with that factor leave
+        self.starts: dict[tuple[str, int], int] = {}
+        out, edges, dst, key, starts = self.out, self.edges, self.dst, self.key, self.starts
+        for w, senses in enumerate(alternatives):
+            b, finals = len(out) - 1, []
+            for s, t in enumerate(senses):
+                g = b
+                for f, x in enumerate(t.factors or (None,)):
+                    if f:
+                        g = len(out)
+                        dst.append(g)
+                        out.append([])
+                    out[g].append(len(edges))
+                    edges.append((g, w, s, f, x))
+                    k = None if x is None else (x.base, x.z)
+                    key.append(k)
+                    if k:
+                        starts[k] = starts.get(k, 0) | 1 << g
+                finals.append(len(dst))
+                dst.append(-1)  # the next boundary, known once the word is laid out
+            self.bounds.append(len(out))
+            for e in finals:
+                dst[e] = len(out)
+            out.append([])
+        self.end = self.bounds[-1]
+        self.unit = [0] * (self.end + 1)
+        # fill gives each factor edge a list of its own
+        self.partners: list[list[int]] = [[]] * len(edges)
+        self.fill(range(self.end, -1, -1))
+
+    def fill(self, gaps: Iterable[int]) -> None:
+        """(Re)compute the unit cells of ``gaps``, given in descending order."""
+        out, dst, key, unit = self.out, self.dst, self.key, self.unit
+        for a in gaps:
+            reach = 1 << a
+            for e in out[a]:
+                t = dst[e]
+                if key[e] is None:
+                    reach |= unit[t]
+                    continue
+                want = (key[e][0], key[e][1] + 1)
+                found = []
+                ends = unit[t] & self.starts.get(want, 0)
+                while ends:  # each gap where a cancelling inside can end
+                    low = ends & -ends
+                    ends ^= low
+                    for e2 in out[low.bit_length() - 1]:
+                        if key[e2] == want:
+                            found.append(e2)
+                self.partners[e] = found
+                for e2 in found:
+                    reach |= unit[dst[e2]]
+            unit[a] = reach
+
+    def walk(self, a: int, b: int) -> Iterator[tuple]:
+        """Every path from gap a to gap b that cancels to the unit, as a
+        tuple of links (edge pairs) and empty-sense edges.  Only cells
+        that lead to a reduction are entered."""
+        if a == b:
+            yield ()
+            return
+        dst, unit = self.dst, self.unit
+        for e in self.out[a]:
+            t = dst[e]
+            if self.key[e] is None:
+                if unit[t] >> b & 1:
+                    for rest in self.walk(t, b):
+                        yield (e,) + rest
+                continue
+            for e2 in self.partners[e]:
+                if unit[dst[e2]] >> b & 1:
+                    for inside in self.walk(t, self.edges[e2][0]):
+                        for rest in self.walk(dst[e2], b):
+                            yield ((e, e2),) + inside + rest
+
+    def diagram(self, items: tuple) -> tuple[tuple[int, ...], ReductionDiagram]:
+        """The sense choice and flat diagram of one unit path whose last
+        word is a target's right adjoint: links into that word mark the
+        survivors."""
+        edges, last = self.edges, len(self.bounds) - 2
+        senses = [0] * last
+        links, survivors = [], []
+        for item in items:
+            if isinstance(item, int):  # an empty sense, or the unit target
+                if edges[item][1] < last:
+                    senses[edges[item][1]] = edges[item][2]
+                continue
+            i, j = item
+            senses[edges[i][1]] = edges[i][2]
+            if edges[j][1] == last:
+                survivors.append(i)
+            else:
+                senses[edges[j][1]] = edges[j][2]
+                links.append(item)
+        offset = [0]
+        for w, s in enumerate(senses):
+            offset.append(offset[-1] + self.sizes[w][s])
+
+        def flat(e: int) -> int:
+            return offset[edges[e][1]] + edges[e][3]
+
+        pairs = sorted((flat(i), flat(j)) for i, j in links)
+        survived = tuple(sorted(map(flat, survivors)))
+        return tuple(senses), ReductionDiagram(tuple(pairs), survived, offset[-1])
+
+
+def _check(words: Sequence, target: PregroupType) -> None:
+    if len(words) == 0:
+        raise ValueError("need at least one type to reduce")
+    if any(f.z != 0 for f in target):
+        raise ValueError("target must consist of plain factors")
+
+
+def chart_reductions(
+    alternatives: Sequence[Sequence[PregroupType]], target: PregroupType
+) -> list[tuple[tuple[int, ...], ReductionDiagram]]:
+    """Every (sense choice, reduction) taking the words to ``target``.
+
+    ``alternatives[w]`` lists the candidate types of word w; a sense
+    choice holds one index into each list, and the diagram is over the
+    flattened factors of the chosen types.  The result is in canonical
+    order: sense choices in ``itertools.product`` order, then diagrams
+    by their ascending link lists.  The enumeration only walks chart
+    cells that lead to a reduction, so its cost grows with the output.
+
+    >>> n, s = atom("n"), atom("s")
+    >>> [(c, d.to_json()) for c, d in chart_reductions([[n, s], [n.r @ s]], s)]
+    [((0, 0), {'links': [[1, 2]], 'survivors': [3]})]
+    """
+    _check(alternatives, target)
+    # The word factors linked into the appended t.r are the survivors.
+    chart = _Chart([*alternatives, [target.r]])
+    if not chart.unit[0] >> chart.end & 1:
+        return []
+    found = [chart.diagram(items) for items in chart.walk(0, chart.end)]
+    return sorted(found, key=lambda r: (r[0], r[1].links))
+
+
+def closest_residual(alternatives: Sequence[Sequence[PregroupType]]) -> PregroupType:
+    """The shortest type that some sense choice of the words contracts to.
+
+    Ties go to the first (sense choice, reduction) in canonical order:
+    senses are fixed word by word to the first one that keeps the
+    shortest length reachable, and the path is then read left to
+    right, linking each factor to its nearest partner that keeps it.
+    """
+    chart = _Chart(alternatives)
+    length = [0] * (chart.end + 1)
+
+    def shortest(gaps: list[int]) -> None:
+        for a in gaps:
+            best = 0 if a == chart.end else len(length)
+            for e in chart.out[a]:
+                t = chart.dst[e]
+                best = min(best, length[t] + (chart.key[e] is not None),
+                           *(length[chart.dst[e2]] for e2 in chart.partners[e]))
+            length[a] = best
+
+    shortest(list(range(chart.end, -1, -1)))
+    # Fixing word w's sense changes only the cells left of it, which by
+    # then lie on the one path through the senses already fixed.
+    best, fixed = length[0], []
+    for b, nxt in zip(chart.bounds, chart.bounds[1:]):
+        for e in list(chart.out[b]):
+            chart.out[b] = [e]
+            chart.fill([b] + fixed)
+            shortest([b] + fixed)
+            if length[0] == best:
+                break
+        inner, g = [], chart.dst[e]
+        while g != nxt:
+            inner.append(g)
+            g = chart.dst[chart.out[g][0]]
+        fixed = inner[::-1] + [b] + fixed
+    left, g = [], 0
+    while g != chart.end:
+        (e,) = chart.out[g]
+        keep = [chart.dst[e2] for e2 in chart.partners[e] if length[chart.dst[e2]] == length[g]]
+        if keep:
+            g = keep[0]
+            continue
+        if chart.key[e] is not None:
+            left.append(chart.edges[e][4])
+        g = chart.dst[e]
+    return PregroupType(tuple(left))
 
 
 def reduce(
@@ -271,19 +463,11 @@ def reduce(
     >>> [d.to_json() for d in reduce([n, n.r @ s @ n.l, n], s)]
     [{'links': [[1, 2], [4, 5]], 'survivors': [3]}]
     """
-    if len(types) == 0:
-        raise ValueError("need at least one type to reduce")
-    if any(f.z != 0 for f in target):
-        raise ValueError("target must consist of plain factors")
-    found = list(_enumerate_reductions(flatten(types), list(target)))
-    return sorted(found, key=lambda d: d.links)
+    return [d for _, d in chart_reductions([[t] for t in types], target)]
 
 
 def grammatical(types: Sequence[PregroupType], target: PregroupType) -> bool:
     """Whether the juxtaposition of ``types`` reduces to ``target``."""
-    if len(types) == 0:
-        raise ValueError("need at least one type to reduce")
-    if any(f.z != 0 for f in target):
-        raise ValueError("target must consist of plain factors")
-    gen = _enumerate_reductions(flatten(types), list(target))
-    return next(iter(gen), None) is not None
+    _check(types, target)
+    chart = _Chart([*([t] for t in types), [target.r]])
+    return bool(chart.unit[0] >> chart.end & 1)

@@ -146,8 +146,11 @@ def load_universe(path: str | Path) -> tuple[Universe, dict[str, Relation]]:
     ):
         raise UniverseError(f"{path}: 'individuals' must be a list of names")
     universe = Universe(tuple(individuals))
+    listed = raw.get("relations", {})
+    if not isinstance(listed, dict):
+        raise UniverseError(f"{path}: 'relations' must be an object mapping names to pairs")
     relations: dict[str, Relation] = {}
-    for name, pairs in raw.get("relations", {}).items():
+    for name, pairs in listed.items():
         if not isinstance(pairs, list) or not all(
             isinstance(p, list) and len(p) == 2 for p in pairs
         ):

@@ -39,6 +39,27 @@ def brute_force_reductions(
     return results
 
 
+def brute_force_contractions(
+    factors: list[SimpleType],
+) -> set[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
+    """All (links, remaining) pairs reachable by cancelling adjacent
+    cancellable factor pairs, one at a time, including stopping early."""
+    results = set()
+
+    def rec(remaining: tuple[int, ...], links: frozenset):
+        key = (tuple(sorted(links)), remaining)
+        if key in results:
+            return
+        results.add(key)
+        for k in range(len(remaining) - 1):
+            i, j = remaining[k], remaining[k + 1]
+            if cancels(factors[i], factors[j]):
+                rec(remaining[:k] + remaining[k + 2:], links | {(i, j)})
+
+    rec(tuple(range(len(factors))), frozenset())
+    return results
+
+
 def naive_contract(words, diagram) -> np.ndarray:
     """Contract word tensors along the diagram by brute-force index
     enumeration: one summed variable per link, one free variable per

@@ -155,6 +155,17 @@ class TestMeaning:
         assert code == 1
         assert "infelicitous structure" in err
 
+    def test_infelicitous_names_closest_residual(self, run, lexicon_path):
+        code, _, err = run(
+            "meaning", "{T book book} {R musicals}", "--lexicon", lexicon_path
+        )
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.rstrip().endswith(
+            "span 1 {T book book} has no sense assignment reducing to 'theta'; "
+            "best reached: 'n n'"
+        )
+
     def test_unknown_word_exits_two(self, run, lexicon_path):
         code, _, err = run("meaning", "zebras {R run}", "--lexicon", lexicon_path)
         assert code == 2
@@ -317,6 +328,14 @@ class TestTruth:
         code, _, err = run("truth", "a r b", "--universe", str(tmp_path / "u.json"))
         assert code == 2
         assert "cannot read" in err
+
+    def test_relations_not_an_object_exits_two(self, run, tmp_path):
+        p = tmp_path / "u.json"
+        p.write_text(json.dumps({"individuals": ["a", "b"], "relations": [["a", "b"]]}))
+        code, out, err = run("truth", "a r b", "--universe", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "'relations' must be an object" in err
 
 
 class TestSelfcheck:

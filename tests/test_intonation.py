@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,10 @@ from intonsem.intonation import (
     type_spans,
 )
 from intonsem.lexicon import Lexicon, LexiconEntry, LexiconError
-from intonsem.pregroup import atom, parse_type, reduce
+from intonsem.pregroup import PregroupType, SimpleType, atom, flatten, parse_type, reduce
 from intonsem.tensor import TypedTensor, compose
+
+from _oracles import brute_force_reductions, inverse_reduce_sequence, random_type_sequence
 
 
 def _lex(dims, words):
@@ -157,6 +161,56 @@ class TestTypeSpans:
         s = parse_annotated("Mary likes {R zebras}")
         with pytest.raises(LexiconError, match="zebras"):
             type_spans(s, example_lexicon)
+
+
+class TestSenseReductions:
+    def test_multi_sense_matches_product_of_oracle(self):
+        # random lexicons of 2-3 senses per word; each span draws words
+        # with repeats, so a word's senses recur at several positions
+        rng = np.random.default_rng(37)
+        checked = 0
+        for _ in range(120):
+            pool = random_type_sequence(rng, 6) + inverse_reduce_sequence(rng, [SimpleType("s")], 6)
+            pool = list(dict.fromkeys(str(t) for t in pool))
+            words = {}
+            for k in range(int(rng.integers(1, 4))):
+                size = min(len(pool), int(rng.integers(2, 4)))
+                picks = rng.choice(len(pool), size=size, replace=False)
+                words[f"w{k}"] = [(pool[i], np.ones((1,) * len(parse_type(pool[i])))) for i in picks]
+            lex = _lex({"n": 1, "s": 1, "theta": 1, "rho": 1}, words)
+            length = int(rng.integers(1, 5))
+            span = [f"w{int(k)}" for k in rng.integers(0, len(words), size=length)]
+            for target in (atom("s"), PregroupType(())):
+                want = []
+                for combo in itertools.product(*(lex[w].senses for w in span)):
+                    found = brute_force_reductions(flatten([s.type for s in combo]), list(target))
+                    types = [str(s.type) for s in combo]
+                    want += [(types, links, survivors) for links, survivors in sorted(found)]
+                got = [
+                    ([str(s.type) for s in senses], d.links, d.survivors)
+                    for senses, d in intonation._sense_reductions(lex, span, target)
+                ]
+                assert got == want
+                checked += len(got)
+        assert checked > 50
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_long_infelicitous_theme_fails_fast(self, example_lexicon, k):
+        # 14 and 20 words: the sense product alone has 1.2e5 and 1.8e7 entries
+        s = parse_annotated("Mary wrote a book " + "about a book " * k + "about {R art}")
+        assert len(s.spans[0].tokens) == 5 + 3 * k
+        residual = " ".join(["theta"] * (k + 1))
+        with pytest.raises(InfelicitousStructure, match=f"best reached: '{residual}'$"):
+            type_spans(s, example_lexicon)
+
+    def test_failure_names_closest_residual(self, example_lexicon):
+        s = parse_annotated("{T book book} {R musicals}")
+        with pytest.raises(InfelicitousStructure) as exc:
+            type_spans(s, example_lexicon)
+        assert str(exc.value) == (
+            "single-rheme: span 1 {T book book} has no sense assignment "
+            "reducing to 'theta'; best reached: 'n n'"
+        )
 
 
 class TestSingleRhemeMeaning:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,20 @@ from intonsem.pregroup import (
     TypeSyntaxError,
     atom,
     cancels,
+    chart_reductions,
+    closest_residual,
     flatten,
     grammatical,
     parse_type,
     reduce,
 )
 
-from _oracles import brute_force_reductions, inverse_reduce_sequence, random_type_sequence
+from _oracles import (
+    brute_force_contractions,
+    brute_force_reductions,
+    inverse_reduce_sequence,
+    random_type_sequence,
+)
 
 
 class TestParseType:
@@ -121,6 +130,12 @@ class TestReductionDiagram:
         nested = ReductionDiagram(((0, 3), (1, 2)), (), 4)
         assert nested.is_planar()
 
+    def test_from_json_rejects_crossing_links(self):
+        with pytest.raises(ValueError, match="cross"):
+            ReductionDiagram.from_json({"links": [[1, 3], [2, 4]], "survivors": [5]})
+        nested = {"links": [[1, 4], [2, 3]], "survivors": [5]}
+        assert ReductionDiagram.from_json(nested).to_json() == nested
+
     def test_replay_rejects_unsound_diagram(self):
         # a link whose interior never clears cannot be replayed
         factors = list(parse_type("n s n.r"))
@@ -212,3 +227,82 @@ class TestAgainstBruteForce:
             for d in reduce(types, atom("s")):
                 assert d.is_planar()
                 assert d.replay(factors) == [SimpleType("s")]
+
+
+def _random_alternatives(rng):
+    """Words with 1-3 distinct candidate types each: the words of a
+    sequence that reduces to s, each with extra candidates drawn from the
+    other words, from random types and from the unit."""
+    split = inverse_reduce_sequence(rng, [SimpleType("s")], 7)
+    words = []
+    for t in split:
+        alts = [t]
+        for _ in range(int(rng.integers(0, 3))):
+            pick = rng.random()
+            if pick < 0.15:
+                alt = PregroupType(())
+            elif pick < 0.6:
+                alt = split[int(rng.integers(0, len(split)))]
+            else:
+                alt = PregroupType(tuple(flatten(random_type_sequence(rng, 3))))
+            if alt not in alts:
+                alts.insert(int(rng.integers(0, len(alts) + 1)), alt)
+        words.append(alts)
+    return words
+
+
+class TestChart:
+    def test_sense_choices_match_product_of_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            words = _random_alternatives(rng)
+            for target in (atom("s"), PregroupType(()), parse_type("s n")):
+                want = []
+                for choice in itertools.product(*(range(len(a)) for a in words)):
+                    factors = flatten([words[w][k] for w, k in enumerate(choice)])
+                    found = brute_force_reductions(factors, list(target))
+                    want += [(choice, r) for r in sorted(found)]
+                got = [(c, (d.links, d.survivors)) for c, d in chart_reductions(words, target)]
+                assert got == want
+
+    def test_unit_senses(self):
+        unit, n, s = PregroupType(()), atom("n"), atom("s")
+        out = chart_reductions([[unit, n], [unit], [n.r @ s]], s)
+        assert [(c, d.to_json()) for c, d in out] == [
+            ((1, 0, 0), {"links": [[1, 2]], "survivors": [3]})
+        ]
+        (only,) = chart_reductions([[unit], [unit]], unit)
+        assert only == ((0, 0), ReductionDiagram((), (), 0))
+
+    def test_forty_five_factor_chain_has_one_reduction(self):
+        chain = parse_type("n n.r s n.l n" + " n.r n" * 20)
+        assert len(chain) == 45
+        (d,) = reduce([chain], atom("s"))
+        assert d.survivors == (2,)
+        assert d.replay(list(chain)) == [SimpleType("s")]
+
+
+class TestClosestResidual:
+    def test_first_link_list_breaks_ties(self):
+        # links (1,2) and (2,3) both leave one factor; (1,2) comes first
+        assert str(closest_residual([[parse_type("x.l x x.r")]])) == "x.r"
+
+    def test_first_sense_choice_breaks_ties(self):
+        words = [[atom("a"), atom("b")], [atom("c")]]
+        assert str(closest_residual(words)) == "a c"
+
+    def test_full_cancellation_reaches_the_unit(self):
+        assert closest_residual([[atom("n")], [atom("n").r]]) == PregroupType(())
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            words = _random_alternatives(rng)
+            best = None
+            for choice in itertools.product(*(range(len(a)) for a in words)):
+                factors = flatten([words[w][k] for w, k in enumerate(choice)])
+                for links, remaining in brute_force_contractions(factors):
+                    key = (len(remaining), choice, links)
+                    if best is None or key < best[0]:
+                        best = (key, PregroupType(tuple(factors[k] for k in remaining)))
+            assert closest_residual(words) == best[1]

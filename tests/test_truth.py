@@ -182,6 +182,13 @@ class TestLoadUniverse:
         with pytest.raises(UniverseError, match="pairs"):
             load_universe(p)
 
+    @pytest.mark.parametrize("relations", [[["a", "a"]], "likes", 3])
+    def test_relations_must_be_an_object(self, tmp_path, relations):
+        p = tmp_path / "u.json"
+        p.write_text(json.dumps({"individuals": ["a"], "relations": relations}))
+        with pytest.raises(UniverseError, match="'relations' must be an object"):
+            load_universe(p)
+
     def test_unknown_name_in_pair(self, tmp_path):
         p = tmp_path / "u.json"
         p.write_text(
