@@ -4,8 +4,8 @@ Output is deterministic: floats are printed with 17 significant digits
 (enough to round-trip float64 bit-exactly), JSON key order is fixed, and
 no timestamps or environment data appear.  Exit codes: 0 success, 1
 semantic or structural failure (no reduction, infelicitous structure,
-cross-order comparison), 2 input error (bad syntax, unknown word or
-individual, unreadable file).
+cross-order comparison, float64 overflow), 2 input error (bad syntax,
+unknown word or individual, unreadable or malformed file).
 """
 
 from __future__ import annotations
@@ -16,14 +16,8 @@ import sys
 
 import numpy as np
 
-from . import intonation, truth
-from .frobenius import (
-    boundary_tensor,
-    frobenius_condition_check,
-    mu,
-    spider,
-    zeta,
-)
+from . import intonation
+from .frobenius import frobenius_condition_check, mu, spider, zeta
 from .intonation import (
     AnnotationSyntaxError,
     InfelicitousStructure,
@@ -32,7 +26,7 @@ from .intonation import (
 )
 from .lexicon import LexiconError, cosine, load_lexicon
 from .pregroup import TypeSyntaxError, atom, flatten, parse_type, reduce
-from .tensor import TypedTensor, compose, epsilon_contract, eta, tensor_to_json
+from .tensor import TypedTensor, epsilon_contract, eta, tensor_to_json
 from .truth import (
     UniverseError,
     UnknownIndividualError,
@@ -40,16 +34,14 @@ from .truth import (
     load_universe,
     membership,
     theme_vector,
-    theme_vector_composed,
 )
 
-_INPUT_ERRORS = (
-    LexiconError,
-    UniverseError,
-    UnknownIndividualError,
-    TypeSyntaxError,
-    AnnotationSyntaxError,
-)
+class _Failure(Exception):
+    """A documented failure: ``main`` prints ``error: <message>``, exits ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _fmt_float(x: float) -> str:
@@ -102,12 +94,13 @@ def _emit_dot(factors, diagram) -> str:
 
 def cmd_reduce(args) -> int:
     target = parse_type(args.target)
+    if any(f.z != 0 for f in target):
+        raise _Failure(2, f"--target must consist of plain factors, got '{target}'")
+    words = args.input.split()
+    if not words:
+        raise _Failure(2, "empty input")
     if args.lexicon:
         lex = load_lexicon(args.lexicon)
-        words = args.input.split()
-        if not words:
-            print("error: empty input", file=sys.stderr)
-            return 2
         reductions = [
             ([s.type for s in senses], diagram)
             for senses, diagram in intonation._sense_reductions(lex, words, target)
@@ -115,17 +108,13 @@ def cmd_reduce(args) -> int:
         factors = None
     else:
         t = parse_type(args.input)
-        if len(t) == 0:
-            print("error: empty input", file=sys.stderr)
-            return 2
         factors = list(t)
         reductions = [(None, d) for d in reduce([t], target)]
 
     grammatical = bool(reductions)
     if args.emit_diagram == "dot":
         if not grammatical:
-            print("error: no reduction to draw", file=sys.stderr)
-            return 1
+            raise _Failure(1, "no reduction to draw")
         combo, diagram = reductions[0]
         fs = factors if factors is not None else flatten(combo)
         print(_emit_dot(fs, diagram))
@@ -180,10 +169,17 @@ def _analysis_json(a: intonation.Analysis) -> dict:
     }
 
 
+def _finite(found: list[intonation.Analysis]) -> list[intonation.Analysis]:
+    # np.einsum, which combines the spans, sets no floating-point flags
+    if not all(np.isfinite(a.meaning.array).all() for a in found):
+        raise FloatingPointError("overflow encountered in einsum")
+    return found
+
+
 def cmd_meaning(args) -> int:
     lex = load_lexicon(args.lexicon)
     sentence = parse_annotated(args.sentence)
-    found = analyses(sentence, lex)
+    found = _finite(analyses(sentence, lex))
     if args.format == "json":
         out = {
             "sentence": str(sentence),
@@ -207,21 +203,19 @@ def cmd_meaning(args) -> int:
 
 def cmd_compare(args) -> int:
     lex = load_lexicon(args.lexicon)
-    ma = analyses(parse_annotated(args.a), lex)[0].meaning
-    mb = analyses(parse_annotated(args.b), lex)[0].meaning
+    ma = _finite(analyses(parse_annotated(args.a), lex))[0].meaning
+    mb = _finite(analyses(parse_annotated(args.b), lex))[0].meaning
     if ma.order != mb.order:
-        print(
-            f"error: cannot compare a meaning of order {ma.order} with one of "
+        raise _Failure(
+            1,
+            f"cannot compare a meaning of order {ma.order} with one of "
             f"order {mb.order}: they live in different spaces",
-            file=sys.stderr,
         )
-        return 1
     va, vb = ma.array.ravel(), mb.array.ravel()
     try:
         c = cosine(va, vb)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _Failure(1, str(exc)) from exc
     dist = float(np.linalg.norm(va - vb))
     equal = dist <= args.tolerance
     if args.format == "json":
@@ -240,20 +234,13 @@ def cmd_truth(args) -> int:
     universe, relations = load_universe(args.universe)
     tokens = [t for t in args.query.split() if t not in _BOUNDARY_TOKENS]
     if len(tokens) != 3:
-        print(
-            "error: query must be 'subject relation rheme' "
-            f"(got {len(tokens)} words)",
-            file=sys.stderr,
+        raise _Failure(
+            2, f"query must be 'subject relation rheme' (got {len(tokens)} words)"
         )
-        return 2
     subject, rel_name, rheme = tokens
     if rel_name not in relations:
         known = ", ".join(sorted(relations)) or "(none)"
-        print(
-            f"error: unknown relation {rel_name!r}; universe file defines {known}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _Failure(2, f"unknown relation {rel_name!r}; universe file defines {known}")
     rel = relations[rel_name]
     theme = theme_vector(universe, rel, subject)
     bit = membership(universe, theme, rheme)
@@ -392,13 +379,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except _Failure as exc:
+        failure = exc
+    except (
+        LexiconError, UniverseError, UnknownIndividualError, TypeSyntaxError, AnnotationSyntaxError
+    ) as exc:
+        failure = _Failure(2, str(exc))
     except InfelicitousStructure as exc:
-        print(f"error: infelicitous structure: {exc}", file=sys.stderr)
-        return 1
+        failure = _Failure(1, f"infelicitous structure: {exc}")
+    except FloatingPointError as exc:
+        failure = _Failure(1, f"the result is not finite in float64 ({exc})")
+    print(f"error: {failure}", file=sys.stderr)
+    return failure.code
 
 
 def app() -> None:

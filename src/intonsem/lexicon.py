@@ -12,7 +12,6 @@ under distinct types; repeating a (word, type) pair is an error.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -20,7 +19,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .pregroup import PregroupType, TypeSyntaxError, atom, parse_type
-from .tensor import TypedTensor, UnknownBaseError, semantic_shape
+from .tensor import TypedTensor, semantic_shape, tensor_from_json
 
 THEME_BASE = "theta"
 RHEME_BASE = "rho"
@@ -69,6 +68,17 @@ class LexiconEntry:
         return tuple(s.type for s in self.senses)
 
 
+def _check_shape(
+    word: str, type_: PregroupType, shape: tuple[int, ...], spaces: Mapping[str, int]
+) -> None:
+    expected = semantic_shape(type_, spaces)
+    if shape != expected:
+        raise LexiconError(
+            f"shape mismatch for word {word!r}, sense '{type_}': "
+            f"expected {list(expected)}, got {list(shape)}"
+        )
+
+
 class Lexicon:
     """A space assignment plus word entries, validated against it."""
 
@@ -82,12 +92,7 @@ class Lexicon:
             if word != entry.word:
                 raise LexiconError(f"entry for {entry.word!r} filed under {word!r}")
             for s in entry.senses:
-                expected = semantic_shape(s.type, self.spaces)
-                if s.array.shape != expected:
-                    raise LexiconError(
-                        f"shape mismatch for word {word!r}, sense '{s.type}': "
-                        f"expected {list(expected)}, got {list(s.array.shape)}"
-                    )
+                _check_shape(word, s.type, s.array.shape, self.spaces)
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
@@ -207,6 +212,8 @@ def _load_sidecar(path: Path) -> dict[str, np.ndarray]:
             raise LexiconError(f"{path}:{lineno}: non-numeric vector entry") from None
         if word in rows:
             raise LexiconError(f"{path}:{lineno}: duplicate row for {word!r}")
+        if not np.isfinite(vec).all():
+            raise LexiconError(f"{path}:{lineno}: data holds NaN or infinity")
         rows[word] = vec
     return rows
 
@@ -214,8 +221,8 @@ def _load_sidecar(path: Path) -> dict[str, np.ndarray]:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load and validate a lexicon file.
 
-    Errors carry the offending word and sense; JSON syntax errors carry
-    the line number.
+    Errors name the offending entry by number and word (a duplicate
+    sense by word and type); JSON syntax errors carry the line number.
     """
     path = Path(path)
     try:
@@ -224,8 +231,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
         raise LexiconError(f"cannot read lexicon {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise LexiconError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict) or "dims" not in raw or "entries" not in raw:
-        raise LexiconError(f"{path}: expected an object with 'dims' and 'entries'")
+    if not isinstance(raw, dict) or "dims" not in raw or not isinstance(raw.get("entries"), list):
+        raise LexiconError(f"{path}: expected an object with 'dims' and an 'entries' list")
     dims = raw["dims"]
     # exact type checks throughout: JSON true/false load as bool, an int subclass
     if not isinstance(dims, dict) or not all(
@@ -235,67 +242,45 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
     sidecars: dict[Path, dict[str, np.ndarray]] = {}
     senses: dict[str, list[TypedTensor]] = {}
-    seen: set[tuple[str, PregroupType]] = set()
-    for k, item in enumerate(raw["entries"]):
-        where = f"{path}: entry {k + 1}"
-        if not isinstance(item, dict) or "word" not in item or "type" not in item:
-            raise LexiconError(f"{where}: expected an object with 'word' and 'type'")
+    for k, item in enumerate(raw["entries"], start=1):
+        if not (
+            isinstance(item, dict)
+            and isinstance(item.get("word"), str)
+            and isinstance(item.get("type"), str)
+            and isinstance(item.get("data_ref", ""), str)
+        ):
+            raise LexiconError(
+                f"{path}: entry {k}: expected an object with 'word' and 'type' "
+                "strings (and 'data_ref', if given, a string)"
+            )
         word = item["word"]
+        where = f"{path}: entry {k} ({word!r})"
         try:
             type_ = parse_type(item["type"])
+            if "data_ref" in item:
+                if len(type_) != 1:
+                    raise LexiconError(
+                        f"data_ref sidecars hold vectors, but type '{type_}' "
+                        f"has {len(type_)} factors"
+                    )
+                ref = (path.parent / item["data_ref"]).resolve()
+                if ref not in sidecars:
+                    sidecars[ref] = _load_sidecar(ref)
+                if word not in sidecars[ref]:
+                    raise LexiconError(
+                        f"sidecar {item['data_ref']!r} has no row for {word!r}"
+                    )
+                arr = sidecars[ref][word]
+            else:
+                arr = tensor_from_json(item)
+            _check_shape(word, type_, arr.shape, dims)
+            senses.setdefault(word, []).append(TypedTensor(type_, arr))
         except TypeSyntaxError as exc:
-            raise LexiconError(f"{where} ({word!r}): bad type: {exc}") from exc
-        if (word, type_) in seen:
-            raise LexiconError(
-                f"{where}: duplicate sense for word {word!r} under type '{type_}'"
-            )
-        seen.add((word, type_))
-        try:
-            expected = semantic_shape(type_, dims)
-        except UnknownBaseError as exc:
-            raise LexiconError(f"{where} ({word!r}): {exc}") from exc
-
-        if "data_ref" in item:
-            if len(type_) != 1:
-                raise LexiconError(
-                    f"{where} ({word!r}): data_ref sidecars hold vectors, but "
-                    f"type '{type_}' has {len(type_)} factors"
-                )
-            ref = (path.parent / item["data_ref"]).resolve()
-            if ref not in sidecars:
-                sidecars[ref] = _load_sidecar(ref)
-            if word not in sidecars[ref]:
-                raise LexiconError(
-                    f"{where}: sidecar {item['data_ref']!r} has no row for {word!r}"
-                )
-            arr = sidecars[ref][word]
-        else:
-            if "shape" not in item or "data" not in item:
-                raise LexiconError(
-                    f"{where} ({word!r}): need 'shape' and 'data' (or 'data_ref')"
-                )
-            shape, data = item["shape"], item["data"]
-            if not isinstance(shape, list) or not all(type(d) is int and d >= 1 for d in shape):
-                raise LexiconError(f"{where} ({word!r}): bad shape {shape}")
-            if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
-                raise LexiconError(f"{where} ({word!r}): 'data' must be a flat list of numbers")
-            if len(data) != math.prod(shape):
-                raise LexiconError(
-                    f"{where} ({word!r}): data length {len(data)} does not fill "
-                    f"shape {shape}"
-                )
-            try:
-                arr = np.asarray(data, dtype=np.float64).reshape(shape)
-            except OverflowError:
-                raise LexiconError(f"{where} ({word!r}): data value out of float range") from None
-        if not np.isfinite(arr).all():
-            raise LexiconError(f"{where} ({word!r}): data holds NaN or infinity")
-        if arr.shape != expected:
-            raise LexiconError(
-                f"shape mismatch for word {word!r}, sense '{type_}': "
-                f"expected {list(expected)}, got {list(arr.shape)}"
-            )
-        senses.setdefault(word, []).append(TypedTensor(type_, arr))
-
-    entries = {w: LexiconEntry(w, tuple(ss)) for w, ss in senses.items()}
-    return Lexicon(dims, entries)
+            raise LexiconError(f"{where}: bad type: {exc}") from exc
+        except ValueError as exc:
+            raise LexiconError(f"{where}: {exc}") from exc
+    # LexiconEntry finds duplicate senses, Lexicon missing bases
+    try:
+        return Lexicon(dims, {w: LexiconEntry(w, tuple(ss)) for w, ss in senses.items()})
+    except LexiconError as exc:
+        raise LexiconError(f"{path}: {exc}") from exc

@@ -10,6 +10,7 @@ identity matrix plays the dual role of expanding a wire.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -201,12 +202,27 @@ def tensor_to_json(arr: np.ndarray) -> dict:
 
 
 def tensor_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`tensor_to_json`."""
-    shape = tuple(obj["shape"])
-    data = np.asarray(obj["data"], dtype=np.float64)
-    expected = int(np.prod(shape)) if shape else 1
-    if data.size != expected:
-        raise ValueError(
-            f"data length {data.size} does not match shape {list(shape)}"
-        )
-    return data.reshape(shape)
+    """Inverse of :func:`tensor_to_json`, and the one parser of that form.
+
+    Raises ``ValueError`` unless ``obj`` is an object whose ``shape`` is
+    a list of positive integers (not booleans) and whose ``data`` is a
+    flat list of numbers (no booleans, strings or nested lists) that
+    exactly fills the shape, every value finite in float64.
+    """
+    if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
+        raise ValueError("need 'shape' and 'data'")
+    shape, data = obj["shape"], obj["data"]
+    # exact type checks: JSON true/false load as bool, an int subclass
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 1 for d in shape):
+        raise ValueError(f"bad shape {shape}")
+    if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+        raise ValueError("'data' must be a flat list of numbers")
+    if len(data) != math.prod(shape):
+        raise ValueError(f"data length {len(data)} does not fill shape {shape}")
+    try:
+        arr = np.asarray(data, dtype=np.float64).reshape(shape)
+    except OverflowError:
+        raise ValueError("data value out of float range") from None
+    if not np.isfinite(arr).all():
+        raise ValueError("data holds NaN or infinity")
+    return arr

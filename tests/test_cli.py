@@ -103,6 +103,16 @@ class TestReduce:
         assert code == 1
         assert "no reduction" in err
 
+    @pytest.mark.parametrize("lexicon", [False, True])
+    def test_adjoint_target_exits_two(self, run, lexicon_path, lexicon):
+        argv = ["reduce", "n", "--target", "n.r"]
+        if lexicon:
+            argv = ["reduce", "Mary", "--target", "n.r", "--lexicon", lexicon_path]
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "plain factors" in err
+
     def test_empty_input(self, run):
         code, _, err = run("reduce", "   ")
         assert code == 2
@@ -191,6 +201,36 @@ class TestMeaning:
             code, out, err = run(*argv)
             assert (code, out) == (2, "")
             assert "entry 1 ('t')" in err
+
+    def test_entries_not_a_list_exits_two(self, run, tmp_path):
+        p = tmp_path / "lex.json"
+        p.write_text('{"dims": {"n": 1, "s": 1, "theta": 1, "rho": 1}, "entries": 5}')
+        code, out, err = run("meaning", "{T t} {R r}", "--lexicon", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'entries' list" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("sentence", ["{T t} {R r}", "{T a v} {R r}"])
+    def test_float_overflow_exits_one(self, run, tmp_path, fmt, sentence):
+        # every value is finite, but the boundary product (t, r) or the
+        # theme's contraction (a v) is not
+        p = tmp_path / "lex.json"
+        p.write_text(
+            '{"dims": {"n": 2, "s": 2, "theta": 2, "rho": 2}, "entries": ['
+            '{"word": "t", "type": "theta", "shape": [2], "data": [1e300, 1]}, '
+            '{"word": "a", "type": "n", "shape": [2], "data": [1e300, 1]}, '
+            '{"word": "v", "type": "n.r theta", "shape": [2, 2], "data": [1e300, 0, 0, 1]}, '
+            '{"word": "r", "type": "rho", "shape": [2], "data": [1e10, 1]}]}'
+        )
+        for argv in (
+            ("meaning", sentence, "--lexicon", str(p), "--format", fmt),
+            ("compare", sentence, sentence, "--lexicon", str(p), "--format", fmt),
+        ):
+            code, out, err = run(*argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "not finite" in err
 
     def test_bool_dimension_exits_two(self, run, tmp_path):
         p = tmp_path / "lex.json"

@@ -194,6 +194,26 @@ class TestLoadErrors:
         with pytest.raises(LexiconError, match="positive integers|bad shape"):
             load_lexicon(p)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            5,
+            {"word": "x", "type": "n", "shape": [2], "data": [1, 0]},
+            [{"word": ["x"], "type": "n", "shape": [2], "data": [1, 0]}],
+            [{"word": 7, "type": "n", "shape": [2], "data": [1, 0]}],
+            [{"word": "x", "type": 7, "shape": [2], "data": [1, 0]}],
+            [{"word": "x", "type": ["n"], "shape": [2], "data": [1, 0]}],
+            [{"word": "x", "type": "n", "data_ref": 3}],
+            [{"word": "x", "type": "n", "data_ref": []}],
+        ],
+        ids=["entries-int", "entries-object", "word-list", "word-int", "type-int",
+             "type-list", "data_ref-int", "data_ref-list"],
+    )
+    def test_malformed_entry_structure(self, write_lexicon, entries):
+        p = write_lexicon({"dims": {"n": 2, "s": 1, "theta": 2, "rho": 2}, "entries": entries})
+        with pytest.raises(LexiconError):
+            load_lexicon(p)
+
     def test_data_ref_requires_vector_type(self, tmp_path, write_lexicon):
         (tmp_path / "v.tsv").write_text("x\t1 0 1 0\n")
         p = write_lexicon(

@@ -303,3 +303,24 @@ class TestJsonRoundTrip:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             tensor_from_json({"shape": [2, 2], "data": [1.0, 2.0, 3.0]})
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"shape": [2], "data": [float("nan"), 1.0]}, "NaN or infinity"),
+            ({"shape": [2], "data": [float("inf"), 1.0]}, "NaN or infinity"),
+            ({"shape": [2], "data": [True, 1.0]}, "flat list of numbers"),
+            ({"shape": [2], "data": [[1.0], [2.0]]}, "flat list of numbers"),
+            ({"shape": [2], "data": "12"}, "flat list of numbers"),
+            ({"shape": [2], "data": [10**400, 1]}, "out of float range"),
+            ({"shape": [0], "data": []}, "bad shape"),
+            ({"shape": [True, 2], "data": [1.0, 2.0]}, "bad shape"),
+            ({"shape": 2, "data": [1.0, 2.0]}, "bad shape"),
+            ({"shape": [2]}, "'shape' and 'data'"),
+            ({"data": [1.0, 2.0]}, "'shape' and 'data'"),
+            ([2], "'shape' and 'data'"),
+        ],
+    )
+    def test_rejects_malformed_wire_form(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            tensor_from_json(obj)
