@@ -4,8 +4,8 @@ Output is deterministic: floats are printed with 17 significant digits
 (enough to round-trip float64 bit-exactly), JSON key order is fixed, and
 no timestamps or environment data appear.  Exit codes: 0 success, 1
 semantic or structural failure (no reduction, infelicitous structure,
-cross-order comparison, float64 overflow), 2 input error (bad syntax,
-unknown word or individual, unreadable or malformed file).
+cross-order comparison, float64 overflow), 2 input error (bad arguments
+or syntax, unknown word or individual, unreadable or malformed file).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .intonation import (
     analyses,
     parse_annotated,
 )
-from .lexicon import LexiconError, cosine, load_lexicon
+from .lexicon import LexiconError, _unit_scaled, cosine, load_lexicon
 from .pregroup import TypeSyntaxError, atom, flatten, parse_type, reduce
 from .tensor import TypedTensor, epsilon_contract, eta, tensor_to_json
 from .truth import (
@@ -42,6 +42,13 @@ class _Failure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors take the one ``error:`` line path, with exit 2."""
+
+    def error(self, message):
+        raise _Failure(2, message)
 
 
 def _fmt_float(x: float) -> str:
@@ -216,7 +223,8 @@ def cmd_compare(args) -> int:
         c = cosine(va, vb)
     except ValueError as exc:
         raise _Failure(1, str(exc)) from exc
-    dist = float(np.linalg.norm(va - vb))
+    diff, e = _unit_scaled(va - vb)
+    dist = float(np.ldexp(np.linalg.norm(diff), e))
     equal = dist <= args.tolerance
     if args.format == "json":
         print(_stable_json({"cosine": c, "distance": dist, "equal": equal}))
@@ -332,7 +340,7 @@ def cmd_selfcheck(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="intonsem",
         description="Pregroup grammar with tensor semantics and intonation-aware "
         "composition.",
@@ -377,8 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
     except _Failure as exc:

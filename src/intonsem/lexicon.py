@@ -188,10 +188,20 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64).ravel()
     if u.shape != v.shape:
         raise ValueError(f"length mismatch: {u.shape[0]} vs {v.shape[0]}")
+    u, v = _unit_scaled(u)[0], _unit_scaled(v)[0]
     nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
         raise ValueError("cosine is undefined for a zero vector")
     return float(np.clip(float(u @ v) / (nu * nv), -1.0, 1.0))
+
+
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``x * 2**-e`` and ``e``, for the ``e`` that brings the largest
+    magnitude into [0.5, 1): exact where values stay normal, and the
+    largest squares in dot products and norms neither overflow nor
+    underflow."""
+    e = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
+    return np.ldexp(x, -e), e
 
 
 def _load_sidecar(path: Path) -> dict[str, np.ndarray]:

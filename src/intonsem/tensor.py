@@ -85,23 +85,18 @@ def eta(dim: int) -> np.ndarray:
 def epsilon_contract(
     a: TypedTensor, axis_a: int, b: TypedTensor, axis_b: int
 ) -> TypedTensor:
-    """Contract one axis of ``a`` against one axis of ``b``.
+    """Contract one axis of ``a`` against one axis of ``b``: the one-link
+    :func:`compose` of ``[a, b]``.
 
     The two factors must cancel (a's factor on the left), and the axis
-    dimensions must agree.  Remaining axes keep their order, a's first.
+    dimensions must agree.  Negative axes count from the end, as in
+    numpy; an axis out of range raises ``IndexError``.  Remaining axes
+    keep their order, a's first.
     """
-    fa, fb = a.type[axis_a], b.type[axis_b]
-    if not cancels(fa, fb):
-        raise ContractionError(f"factors '{fa}' and '{fb}' do not cancel")
-    if a.array.shape[axis_a] != b.array.shape[axis_b]:
-        raise ContractionError(
-            f"dimension mismatch: {a.array.shape[axis_a]} vs {b.array.shape[axis_b]} "
-            f"for factors '{fa}' and '{fb}'"
-        )
-    arr = np.tensordot(a.array, b.array, axes=(axis_a, axis_b))
-    rest_a = tuple(f for k, f in enumerate(a.type) if k != axis_a)
-    rest_b = tuple(f for k, f in enumerate(b.type) if k != axis_b)
-    return TypedTensor(PregroupType(rest_a + rest_b), arr)
+    na, nb = a.order, b.order
+    i, j = range(na)[axis_a], na + range(nb)[axis_b]
+    rest = tuple(k for k in range(na + nb) if k not in (i, j))
+    return compose([a, b], ReductionDiagram(((i, j),), rest, na + nb))
 
 
 def compose(
@@ -115,8 +110,14 @@ def compose(
     diagram: same total factor count, every link cancellable with equal
     axis dimensions.  Links are contracted left-to-right by left
     endpoint; ``link_order`` (a permutation of range(len(links))) can
-    reschedule them, which never changes the value.  The result carries
-    the survivors' type with axes in ascending survivor order.
+    reschedule them, which never changes the value.
+
+    The work is one collection of parts, each an array plus the global
+    factor ids of its axes: one part per word to start, kept by label,
+    with ``owner[k]`` the label of factor k's part.  A link between two
+    parts is one ``np.tensordot`` that merges them, a link inside a part
+    one ``np.trace``.  The parts left (a closed loop is 0-d) are folded
+    by outer products and transposed into ascending survivor order.
     """
     factors = flatten([w.type for w in words])
     if diagram.size != len(factors):
@@ -129,16 +130,11 @@ def compose(
             raise ValueError("link_order must be a permutation of the link indices")
         links = [links[k] for k in link_order]
 
-    # Each part is a tensor plus the global factor ids of its axes.
-    parts: list[tuple[np.ndarray, list[int]] | None] = []
-    owner: dict[int, int] = {}
-    base = 0
-    for w in words:
-        ids = list(range(base, base + len(w.type)))
-        for k in ids:
-            owner[k] = len(parts)
-        parts.append((np.asarray(w.array), ids))
-        base += len(ids)
+    dims = [n for w in words for n in w.array.shape]
+    parts, owner = {}, []
+    for n, w in enumerate(words):
+        parts[n] = (w.array, list(range(len(owner), len(owner) + w.order)))
+        owner += [n] * w.order
 
     for i, j in links:
         if not cancels(factors[i], factors[j]):
@@ -146,53 +142,27 @@ def compose(
                 f"link ({i + 1}, {j + 1}) joins non-cancelling factors "
                 f"'{factors[i]}' and '{factors[j]}'"
             )
-        pi, pj = owner[i], owner[j]
-        arr_i, ids_i = parts[pi]  # type: ignore[misc]
-        if pi == pj:
-            u, v = ids_i.index(i), ids_i.index(j)
-            if arr_i.shape[u] != arr_i.shape[v]:
-                raise ContractionError(
-                    f"dimension mismatch on link ({i + 1}, {j + 1})"
-                )
-            merged = np.trace(arr_i, axis1=u, axis2=v)
-            kept = [x for x in ids_i if x not in (i, j)]
-            parts[pi] = (merged, kept)
+        if dims[i] != dims[j]:
+            raise ContractionError(
+                f"dimension mismatch on link ({i + 1}, {j + 1}): {dims[i]} vs {dims[j]}"
+            )
+        arr, ids = parts.pop(owner[i])
+        if owner[j] == owner[i]:
+            arr = np.trace(arr, axis1=ids.index(i), axis2=ids.index(j))
         else:
-            arr_j, ids_j = parts[pj]  # type: ignore[misc]
-            u, v = ids_i.index(i), ids_j.index(j)
-            if arr_i.shape[u] != arr_j.shape[v]:
-                raise ContractionError(
-                    f"dimension mismatch on link ({i + 1}, {j + 1})"
-                )
-            merged = np.tensordot(arr_i, arr_j, axes=(u, v))
-            kept = [x for x in ids_i if x != i] + [x for x in ids_j if x != j]
-            parts[pi] = (merged, kept)
-            parts[pj] = None
-            for x in kept:
-                owner[x] = pi
+            arr_j, ids_j = parts.pop(owner[j])
+            arr = np.tensordot(arr, arr_j, axes=(ids.index(i), ids_j.index(j)))
+            for k in ids_j:
+                owner[k] = owner[i]
+            ids = ids + ids_j
+        parts[owner[i]] = (arr, [k for k in ids if k not in (i, j)])
 
-    live = [p for p in parts if p is not None]
-    scalar = 1.0
-    pieces = []
-    for arr, ids in live:
-        if ids:
-            pieces.append((arr, ids))
-        else:
-            scalar *= float(arr)
-    pieces.sort(key=lambda p: p[1][0])
-    if not pieces:
-        return TypedTensor(PregroupType(), np.asarray(scalar))
-    out, out_ids = pieces[0]
-    for arr, ids in pieces[1:]:
-        out = np.tensordot(out, arr, axes=0)
-        out_ids = out_ids + ids
-    out = scalar * out
-    perm = np.argsort(out_ids)
-    out = np.transpose(out, perm)
-    survivors = tuple(sorted(out_ids))
-    if survivors != diagram.survivors:
-        raise ContractionError("diagram survivors do not match the unlinked factors")
-    return TypedTensor(PregroupType(tuple(factors[k] for k in survivors)), out)
+    out, ids = np.asarray(1.0), []
+    for arr, part_ids in parts.values():
+        out = np.multiply.outer(out, arr)
+        ids += part_ids
+    out = out.transpose(sorted(range(len(ids)), key=ids.__getitem__))  # argsort
+    return TypedTensor(PregroupType(tuple(factors[k] for k in diagram.survivors)), out)
 
 
 def tensor_to_json(arr: np.ndarray) -> dict:

@@ -288,6 +288,20 @@ class TestCompare:
         assert code == 1
         assert "zero vector" in err
 
+    def test_huge_meaning_compares_with_itself(self, run, tmp_path):
+        # the meaning [1e160, 1e80] is finite, but its squares are not
+        p = tmp_path / "lex.json"
+        p.write_text(
+            '{"dims": {"n": 2, "s": 2, "theta": 2, "rho": 2}, "entries": ['
+            '{"word": "t", "type": "theta", "shape": [2], "data": [1e160, 1e80]}, '
+            '{"word": "r", "type": "rho", "shape": [2], "data": [1, 1]}]}'
+        )
+        code, out, _ = run("meaning", "{T t} {R r}", "--lexicon", str(p))
+        assert code == 0 and "[1e+160, 1e+80]" in out
+        code, out, err = run("compare", "{T t} {R r}", "{T t} {R r}", "--lexicon", str(p))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["cosine: 1", "distance: 0"]
+
     def test_text_output(self, run, lexicon_path):
         code, out, _ = run(
             "compare", "Mary likes {R musicals}", "Mary likes {R musicals}",
@@ -376,6 +390,54 @@ class TestTruth:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "'relations' must be an object" in err
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("meaning", "{T t} {R r}"), "required: --lexicon"),
+            (("parse", "n"), "invalid choice: 'parse'"),
+            (("reduce", "n", "--format", "xml"), "invalid choice: 'xml'"),
+            (("compare", "a", "b", "--lexicon", "l.json", "--tolerance", "abc"),
+             "invalid float value: 'abc'"),
+        ],
+        ids=["missing-lexicon", "unknown-subcommand", "bad-format", "bad-tolerance"],
+    )
+    def test_one_error_line_exit_two(self, run, argv, message):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_help_unchanged(self, run):
+        with pytest.raises(SystemExit) as exc:
+            run("meaning", "--help")
+        assert exc.value.code == 0
+
+
+class TestSidecarErrors:
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            (None, "cannot read vector sidecar"),
+            ("x 1 0\n", "v.tsv:1: expected 'word<TAB>values'"),
+            ("x\t1 0\nx\t0 1\n", "v.tsv:2: duplicate row for 'x'"),
+        ],
+        ids=["missing-file", "no-tab", "duplicate-row"],
+    )
+    def test_exits_two(self, run, tmp_path, sidecar, message):
+        if sidecar is not None:
+            (tmp_path / "v.tsv").write_text(sidecar)
+        p = tmp_path / "lex.json"
+        p.write_text(json.dumps({
+            "dims": {"n": 2, "s": 2, "theta": 2, "rho": 2},
+            "entries": [{"word": "x", "type": "n", "data_ref": "v.tsv"}],
+        }))
+        code, out, err = run("meaning", "{T x} {R x}", "--lexicon", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestSelfcheck:

@@ -10,8 +10,8 @@ stdout.  An exit-0 ``--format json`` document must parse with a
 
 Strings stay short (at most 8 tokens) because the number of reductions,
 and the time to enumerate them, is not yet bounded.  No argument starts
-with '-', so argparse accepts every call; its own errors (exit 2 with a
-usage line) are outside this contract.
+with '-', so argparse accepts every call; its own errors take the same
+one-line exit-2 path and are tested in ``test_cli.py``.
 """
 
 import contextlib

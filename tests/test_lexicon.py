@@ -383,6 +383,19 @@ class TestCosine:
         want = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
         assert cosine(u, v) == pytest.approx(want, abs=1e-15)
 
+    @pytest.mark.parametrize("power", [-700, 500, 520])
+    def test_invariant_under_power_of_two_scaling(self, power):
+        # the squares of 2**-700 underflow and those of 2**520 overflow
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            u, v = rng.standard_normal(6), rng.standard_normal(6)
+            assert cosine(u * 2.0**power, v * 2.0**power) == cosine(u, v)
+
+    def test_tiny_and_huge_vectors(self):
+        assert cosine([1e-200, 0.0], [1e-200, 0.0]) == 1.0
+        assert cosine([1e-160, 0.0], [1e-160, 1e-160]) == pytest.approx(2**-0.5, rel=1e-15)
+        assert cosine([1e160, 0.0], [1e160, 1e160]) == pytest.approx(2**-0.5, rel=1e-15)
+
     def test_clipped_into_range(self):
         u = np.full(50, 0.1)
         assert cosine(u, u) <= 1.0

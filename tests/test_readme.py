@@ -1,0 +1,47 @@
+"""The README's python quickstart runs, and prints what the README says.
+
+A documented output line is a ``# …`` comment at the end of a ``print``
+line, or a run of comment lines directly below one.
+"""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _quickstart() -> str:
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _documented(code: str) -> list[str]:
+    expected, after_print = [], False
+    for line in code.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("print("):
+            after_print = True
+            if "  # " in line:
+                expected.append(line.split("  # ", 1)[1].strip())
+        elif after_print and stripped.startswith("# "):
+            expected.append(stripped[2:])
+        else:
+            after_print = False
+    return expected
+
+
+def test_quickstart_prints_what_the_readme_documents(monkeypatch):
+    code = _quickstart()
+    expected = _documented(code)
+    assert len(expected) >= 3  # reduce, compose and meaning
+    monkeypatch.chdir(ROOT)  # the quickstart names the lexicon by a relative path
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    printed = iter(out.getvalue().splitlines())
+    for line in expected:
+        # in order: each documented line is printed after the previous one
+        assert any(got.strip() == line for got in printed), f"README documents {line!r}"

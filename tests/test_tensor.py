@@ -123,6 +123,25 @@ class TestEpsilonContract:
         with pytest.raises(ContractionError):
             epsilon_contract(v, 0, m, 0)
 
+    def test_negative_axes_count_from_the_end(self):
+        rng = np.random.default_rng(7)
+        v = TypedTensor(parse_type("n"), rng.standard_normal(4))
+        m = TypedTensor(parse_type("n.r s n.l"), rng.standard_normal((4, 2, 4)))
+        w = TypedTensor(parse_type("n"), rng.standard_normal(4))
+        for got, want in (
+            (epsilon_contract(v, -1, m, -3), epsilon_contract(v, 0, m, 0)),
+            (epsilon_contract(m, -1, w, -1), epsilon_contract(m, 2, w, 0)),
+        ):
+            assert got.type == want.type
+            assert np.array_equal(got.array, want.array)
+
+    def test_axis_out_of_range(self):
+        v = TypedTensor(parse_type("n"), np.zeros(4))
+        m = TypedTensor(parse_type("n.r s"), np.zeros((4, 2)))
+        for axis_v, axis_m in ((1, 0), (0, 2), (-2, 0), (0, -3)):
+            with pytest.raises(IndexError):
+                epsilon_contract(v, axis_v, m, axis_m)
+
     def test_yanking_left(self):
         # bending a wire with the identity matrix and contracting undoes itself
         rng = np.random.default_rng(8)
@@ -198,6 +217,18 @@ class TestCompose:
         out = compose([loop, v], d)
         assert np.array_equal(out.array, 8.0 * v.array)
 
+    def test_no_words_compose_to_one(self):
+        out = compose([], ReductionDiagram((), (), 0))
+        assert out.type == PregroupType(())
+        assert out.array.shape == () and float(out.array) == 1.0
+
+    def test_sixty_unlinked_axes(self):
+        t = parse_type(" ".join(["n"] * 60))
+        w = TypedTensor(t, np.full((1,) * 60, 3.0))
+        out = compose([w], ReductionDiagram((), tuple(range(60)), 60))
+        assert out.type == t
+        assert out.array.shape == (1,) * 60 and out.array.item() == 3.0
+
     def test_matches_naive_oracle_on_random_reductions(self):
         rng = np.random.default_rng(21)
         spaces = {"n": 2, "s": 3, "theta": 2, "rho": 3}
@@ -210,6 +241,27 @@ class TestCompose:
                 got = compose(words, d)
                 want = naive_contract(words, d)
                 assert np.allclose(got.array, want, rtol=1e-12, atol=1e-12)
+
+    def test_survivor_axes_follow_factor_order(self):
+        # the first two words merge into a part folded after the third word
+        rng = np.random.default_rng(24)
+        words = _random_words(rng, [atom("n"), parse_type("n.r theta"), atom("rho")])
+        out = compose(words, ReductionDiagram(((0, 1),), (2, 3), 4))
+        assert out.type == parse_type("theta rho")
+        want = np.outer(words[0].array @ words[1].array, words[2].array)
+        assert np.array_equal(out.array, want)
+
+    def test_matches_naive_oracle_with_several_survivors(self):
+        rng = np.random.default_rng(25)
+        spaces = {"n": 2, "s": 3, "theta": 2, "rho": 3}
+        target = parse_type("theta s rho")
+        for _ in range(60):
+            types = inverse_reduce_sequence(rng, list(target), max_factors=9)
+            words = _random_words(rng, types, spaces)
+            for d in reduce(types, target):
+                got = compose(words, d)
+                assert got.type == target
+                assert np.array_equal(got.array, naive_contract(words, d))
 
     def test_link_order_does_not_change_value(self):
         rng = np.random.default_rng(22)
