@@ -11,6 +11,7 @@ or syntax, unknown word or individual, unreadable or malformed file).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -339,6 +340,7 @@ def cmd_selfcheck(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache  # parsing does not change the parser, so main reuses it
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="intonsem",

@@ -168,7 +168,7 @@ def compose(
 def tensor_to_json(arr: np.ndarray) -> dict:
     """Wire form of a dense tensor: shape plus row-major data."""
     a = np.asarray(arr, dtype=np.float64)
-    return {"shape": list(a.shape), "data": [float(x) for x in a.ravel(order="C")]}
+    return {"shape": list(a.shape), "data": a.ravel(order="C").tolist()}
 
 
 def tensor_from_json(obj: dict) -> np.ndarray:

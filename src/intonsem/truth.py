@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .pregroup import atom, parse_type
 from .tensor import TypedTensor, epsilon_contract
+
+_NOUN = atom("n")
+_VERB = parse_type("n.r s n.l")
 
 
 class UnknownIndividualError(ValueError):
@@ -45,10 +49,14 @@ class Universe:
     def dim(self) -> int:
         return len(self.individuals)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: k for k, name in enumerate(self.individuals)}
+
     def index(self, name: str) -> int:
         try:
-            return self.individuals.index(name)
-        except ValueError:
+            return self._positions[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownIndividualError(
                 f"unknown individual {name!r}; universe has "
                 f"{', '.join(self.individuals)}"
@@ -69,7 +77,7 @@ class Relation:
         m = np.array(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise UniverseError(f"relation {self.name!r} needs a square matrix")
-        if not np.isin(m, (0.0, 1.0)).all():
+        if not ((m == 0.0) | (m == 1.0)).all():
             raise UniverseError(f"relation {self.name!r} must be 0/1 valued")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -78,9 +86,10 @@ class Relation:
     def from_pairs(
         cls, name: str, pairs, universe: Universe
     ) -> "Relation":
-        m = np.zeros((universe.dim, universe.dim))
-        for a, b in pairs:
-            m[universe.index(a), universe.index(b)] = 1.0
+        d = universe.dim
+        m = np.zeros((d, d))
+        # one assignment at the row-major flat index of every pair's cell
+        m.put([universe.index(a) * d + universe.index(b) for a, b in pairs], 1.0)
         return cls(name, m)
 
 
@@ -94,14 +103,14 @@ def theme_vector(universe: Universe, rel: Relation, subject: str) -> np.ndarray:
 def relation_lift(rel: Relation) -> TypedTensor:
     """The verb as an order-3 tensor with a one-dimensional sentence axis."""
     d = rel.matrix.shape[0]
-    return TypedTensor(parse_type("n.r s n.l"), rel.matrix.reshape(d, 1, d))
+    return TypedTensor(_VERB, rel.matrix.reshape(d, 1, d))
 
 
 def theme_vector_composed(universe: Universe, rel: Relation, subject: str) -> np.ndarray:
     """The same row computed categorically: contract the subject's basis
     vector against the order-3 lift of the relation and drop the
     singleton sentence axis."""
-    subj = TypedTensor(atom("n"), universe.basis(subject))
+    subj = TypedTensor(_NOUN, universe.basis(subject))
     partial = epsilon_contract(subj, 0, relation_lift(rel), 0)
     return np.asarray(partial.array)[0, :].copy()
 
@@ -111,7 +120,7 @@ def membership(universe: Universe, theme: np.ndarray, rheme: str) -> int:
     theme = np.asarray(theme, dtype=np.float64)
     if theme.shape != (universe.dim,):
         raise ValueError("theme vector does not match the universe dimension")
-    if not np.isin(theme, (0.0, 1.0)).all():
+    if not ((theme == 0.0) | (theme == 1.0)).all():
         raise ValueError("membership expects a 0/1 theme vector")
     return int(theme[universe.index(rheme)])
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from intonsem import cli
 from intonsem.cli import main
 from intonsem.intonation import meaning, parse_annotated
 from intonsem.tensor import tensor_from_json
@@ -383,6 +384,13 @@ class TestTruth:
         assert code == 2
         assert "cannot read" in err
 
+    def test_unhashable_name_in_pair_exits_two(self, run, tmp_path):
+        p = tmp_path / "u.json"
+        p.write_text(json.dumps({"individuals": ["a", "b"], "relations": {"r": [[["a"], "b"]]}}))
+        code, out, err = run("truth", "a r b", "--universe", str(p))
+        assert (code, out) == (2, "")
+        assert err == "error: unknown individual ['a']; universe has a, b\n"
+
     def test_relations_not_an_object_exits_two(self, run, tmp_path):
         p = tmp_path / "u.json"
         p.write_text(json.dumps({"individuals": ["a", "b"], "relations": [["a", "b"]]}))
@@ -414,6 +422,62 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             run("meaning", "--help")
         assert exc.value.code == 0
+
+
+class TestParserReuse:
+    def test_parser_is_not_rebuilt_per_call(self, run, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        run("reduce", "n n.r s")
+        first = len(built)
+        for argv in (("reduce", "n"), ("selfcheck", "--tolerance", "x"), ("parse",)):
+            run(*argv)
+        # at most one parser tree (top level and five subcommands), built once
+        assert len(built) == first <= 6
+
+    def test_a_sequence_of_calls_matches_each_call_alone(
+        self, run, monkeypatch, lexicon_path, universe_path
+    ):
+        calls = [
+            ("reduce", "n", "--format", "xml"),
+            ("reduce", "n n.r s n.l n", "--format", "json"),
+            ("reduce", "Mary likes musicals", "--lexicon", lexicon_path),
+            ("reduce", "n n.r s n.l n"),
+            ("reduce", "n n.r s", "--emit-diagram", "dot"),
+            ("reduce", "n n"),
+            ("compare", "a", "b", "--lexicon", lexicon_path, "--tolerance", "abc"),
+            ("compare", "{T Mary likes} {R musicals}", "{T Mary likes} {R musicals}",
+             "--lexicon", lexicon_path, "--tolerance", "0.5"),
+            ("compare", "{T Mary likes} {R musicals}", "{T Mary likes} {R musicals}",
+             "--lexicon", lexicon_path),
+            ("meaning", "{T Mary likes} {R musicals}", "--lexicon", lexicon_path,
+             "--format", "json"),
+            ("truth", "John likes Mary", "--universe", universe_path, "--format", "json"),
+            ("truth", "Zeus likes Mary", "--universe", universe_path),
+            ("truth", "John likes Mary", "--universe", universe_path),
+            ("meaning", "{T Mary likes} {R musicals}"),
+            ("meaning", "{T Mary likes} {R musicals}", "--lexicon", lexicon_path),
+        ]
+        together = [run(*argv) for argv in calls]
+        # each call alone: a parser built afresh for it
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        alone = [run(*argv) for argv in calls]
+        assert [(c, out) for c, out, _ in together] == [(c, out) for c, out, _ in alone]
+        assert [c for c, _, _ in together] == [2, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 2, 0, 2, 0]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("meaning", "--help")])
+    def test_help_twice(self, capsys, argv):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: intonsem")
 
 
 class TestSidecarErrors:

@@ -357,6 +357,25 @@ class TestJsonRoundTrip:
             tensor_from_json({"shape": [2, 2], "data": [1.0, 2.0, 3.0]})
 
     @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e308, -1e308, 0.1]),
+            np.array([[1.5, -0.0], [np.inf, np.nan]]),
+            np.array([0.1, -0.0, 1e-45, 3.4e38], dtype=np.float32),
+            np.array([[0, -7], [2**53 + 1, -(2**62) - 1]]),
+            np.array(-0.0),
+            np.array(3),
+        ],
+        ids=["float64", "float64-inf-nan", "float32", "int", "0d-float", "0d-int"],
+    )
+    def test_data_is_builtin_floats_bit_identical_to_per_element(self, arr):
+        data = tensor_to_json(arr)["data"]
+        assert all(type(x) is float for x in data)
+        want = [float(x) for x in np.asarray(arr, dtype=np.float64).ravel()]
+        assert [x.hex() for x in data] == [x.hex() for x in want]
+        assert [x.hex() for x in data] == [float(x).hex() for x in arr.ravel()]
+
+    @pytest.mark.parametrize(
         "obj, message",
         [
             ({"shape": [2], "data": [float("nan"), 1.0]}, "NaN or infinity"),

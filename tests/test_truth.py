@@ -39,6 +39,13 @@ class TestUniverse:
         with pytest.raises(UnknownIndividualError, match="'b'"):
             u.index("b")
 
+    @pytest.mark.parametrize("name", ["z", 0, ["a"]], ids=["str", "int", "unhashable"])
+    def test_unknown_individual_message(self, name):
+        u = Universe(("a", "b"))
+        with pytest.raises(UnknownIndividualError) as exc:
+            u.index(name)
+        assert str(exc.value) == f"unknown individual {name!r}; universe has a, b"
+
     def test_duplicates_rejected(self):
         with pytest.raises(UniverseError, match="unique"):
             Universe(("a", "a"))
@@ -71,6 +78,27 @@ class TestRelation:
         u = Universe(("a",))
         with pytest.raises(UnknownIndividualError):
             Relation.from_pairs("r", [["a", "z"]], u)
+
+    def test_first_unknown_name_in_pair_order_is_reported(self):
+        u = Universe(("a", "b"))
+        with pytest.raises(UnknownIndividualError, match="'y'"):
+            Relation.from_pairs("r", [["a", "b"], ["y", "a"], ["b", "z"]], u)
+
+    def test_from_pairs_repeats_and_no_pairs(self):
+        u = Universe(("a", "b", "c"))
+        r = Relation.from_pairs("r", [["c", "a"], ["c", "a"], ["a", "c"]], u)
+        assert np.array_equal(r.matrix, [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+        assert np.array_equal(Relation.from_pairs("r", [], u).matrix, np.zeros((3, 3)))
+
+    def test_zero_one_check_matches_isin(self):
+        for value in (0.0, -0.0, 1.0, 0.5, -1.0, np.nan, np.inf, -np.inf):
+            m = np.array([[1.0, 0.0], [0.0, value]])
+            assert bool(np.isin(m, (0.0, 1.0)).all()) is (value in (0.0, 1.0))
+            if value in (0.0, 1.0):
+                assert Relation("r", m).matrix[1, 1] == value
+            else:
+                with pytest.raises(UniverseError, match="0/1"):
+                    Relation("r", m)
 
 
 class TestThemeVector:
@@ -130,6 +158,17 @@ class TestMembershipAndIntersect:
         u = Universe(("a", "b"))
         with pytest.raises(ValueError, match="0/1"):
             membership(u, np.array([0.5, 0.0]), "a")
+
+    @pytest.mark.parametrize("value", [0.5, -1.0, np.nan, np.inf])
+    def test_non_binary_values_rejected(self, value):
+        u = Universe(("a", "b"))
+        with pytest.raises(ValueError, match="0/1"):
+            membership(u, np.array([1.0, value]), "a")
+
+    def test_negative_zero_accepted(self):
+        u = Universe(("a", "b"))
+        assert membership(u, np.array([-0.0, 1.0]), "a") == 0
+        assert membership(u, np.array([-0.0, 1.0]), "b") == 1
 
     def test_wrong_length_rejected(self):
         u = Universe(("a", "b"))
