@@ -26,14 +26,13 @@ from .intonation import (
     parse_annotated,
 )
 from .lexicon import LexiconError, _unit_scaled, cosine, load_lexicon
-from .pregroup import TypeSyntaxError, atom, flatten, parse_type, reduce
+from .pregroup import TypeSyntaxError, atom, chart_reductions, flatten, parse_type
 from .tensor import TypedTensor, epsilon_contract, eta, tensor_to_json
 from .truth import (
     UniverseError,
     UnknownIndividualError,
     intersect,
     load_universe,
-    membership,
     theme_vector,
 )
 
@@ -109,23 +108,20 @@ def cmd_reduce(args) -> int:
         raise _Failure(2, "empty input")
     if args.lexicon:
         lex = load_lexicon(args.lexicon)
-        reductions = [
-            ([s.type for s in senses], diagram)
-            for senses, diagram in intonation._sense_reductions(lex, words, target)
-        ]
-        factors = None
+        alternatives = [lex[w].types() for w in words]
     else:
-        t = parse_type(args.input)
-        factors = list(t)
-        reductions = [(None, d) for d in reduce([t], target)]
+        alternatives = [[parse_type(args.input)]]
+    reductions = [
+        ([options[k] for options, k in zip(alternatives, choice)], diagram)
+        for choice, diagram in chart_reductions(alternatives, target)
+    ]
 
     grammatical = bool(reductions)
     if args.emit_diagram == "dot":
         if not grammatical:
             raise _Failure(1, "no reduction to draw")
-        combo, diagram = reductions[0]
-        fs = factors if factors is not None else flatten(combo)
-        print(_emit_dot(fs, diagram))
+        types, diagram = reductions[0]
+        print(_emit_dot(flatten(types), diagram))
         return 0
 
     if args.format == "json":
@@ -135,25 +131,23 @@ def cmd_reduce(args) -> int:
             "grammatical": grammatical,
             "reductions": [],
         }
-        for combo, diagram in reductions:
-            item = {}
-            if combo is not None:
-                item["word_types"] = [str(t) for t in combo]
+        for types, diagram in reductions:
+            item = {"word_types": [str(t) for t in types]} if args.lexicon else {}
             item.update(diagram.to_json())
             out["reductions"].append(item)
         print(_stable_json(out))
     else:
-        if factors is not None:
-            print("factors: " + " ".join(str(f) for f in factors))
+        if not args.lexicon:
+            print(f"factors: {alternatives[0][0]}")
         if not grammatical:
             print(f"no reduction to '{target}'")
-        for k, (combo, diagram) in enumerate(reductions, start=1):
+        for k, (types, diagram) in enumerate(reductions, start=1):
             j = diagram.to_json()
             links = " ".join(f"({i},{jj})" for i, jj in j["links"]) or "(none)"
             survivors = " ".join(str(x) for x in j["survivors"]) or "(none)"
             prefix = f"reduction {k}: "
-            if combo is not None:
-                prefix += "types " + " | ".join(str(t) for t in combo) + "; "
+            if args.lexicon:
+                prefix += "types " + " | ".join(str(t) for t in types) + "; "
             print(prefix + f"links {links}; survivors {survivors}")
     return 0 if grammatical else 1
 
@@ -210,6 +204,8 @@ def cmd_meaning(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not args.tolerance >= 0:  # also catches NaN
+        raise _Failure(2, f"--tolerance must be a non-negative number, got {args.tolerance}")
     lex = load_lexicon(args.lexicon)
     ma = _finite(analyses(parse_annotated(args.a), lex))[0].meaning
     mb = _finite(analyses(parse_annotated(args.b), lex))[0].meaning
@@ -252,9 +248,9 @@ def cmd_truth(args) -> int:
         raise _Failure(2, f"unknown relation {rel_name!r}; universe file defines {known}")
     rel = relations[rel_name]
     theme = theme_vector(universe, rel, subject)
-    bit = membership(universe, theme, rheme)
     inter = intersect(universe, theme, rheme)
     names = [universe.individuals[k] for k in np.flatnonzero(inter)]
+    bit = len(names)  # the intersection is the rheme alone or empty
     if args.format == "json":
         out = {
             "subject": subject,
@@ -273,12 +269,9 @@ def cmd_truth(args) -> int:
     return 0
 
 
-def _selfchecks(tolerance: float):
+def _selfchecks():
     rng = np.random.default_rng(271828)
-
-    def close(x, y) -> bool:
-        x, y = np.asarray(x), np.asarray(y)
-        return bool(np.allclose(x, y, rtol=tolerance, atol=tolerance))
+    close = functools.partial(np.allclose, rtol=1e-9, atol=1e-9)
 
     yield "frobenius condition (dims 1-8)", all(
         frobenius_condition_check(d) for d in range(1, 9)
@@ -334,7 +327,7 @@ def _selfchecks(tolerance: float):
 
 def cmd_selfcheck(args) -> int:
     failed = False
-    for name, ok in _selfchecks(args.tolerance):
+    for name, ok in _selfchecks():
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
         failed = failed or not ok
     return 1 if failed else 0
@@ -380,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_truth)
 
     p = sub.add_parser("selfcheck", help="run the built-in numeric property suite")
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.set_defaults(func=cmd_selfcheck)
 
     return parser

@@ -15,8 +15,8 @@ means the same thing.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import getitem
 
 import numpy as np
 
@@ -200,34 +200,24 @@ _PATTERNS: dict[tuple[str, ...], list[tuple[str, tuple[PregroupType, ...], str]]
 }
 
 
-def _sense_reductions(
-    lexicon: Lexicon, words: Sequence[str], target: PregroupType
-) -> list[tuple[tuple[TypedTensor, ...], ReductionDiagram]]:
-    """Every (senses, reduction) taking the words to the target.
-
-    Sense combinations follow lexicon order, and each combination's
-    reductions follow the canonical reduction order.  Span typing and
-    ``intonsem reduce --lexicon`` both enumerate through here.
-    """
-    senses = [lexicon[w].senses for w in words]
-    return [
-        (tuple(options[k] for options, k in zip(senses, choice)), diagram)
-        for choice, diagram in chart_reductions(
-            [[s.type for s in options] for options in senses], target
-        )
-    ]
-
-
 def _derivations(
     sentence: AnnotatedSentence, lexicon: Lexicon
 ) -> list[tuple[str, str, list[list[SpanTyping]]]]:
-    """Per realizable reading: (pattern, einsum spec, options per span)."""
+    """Per realizable reading: (pattern, einsum spec, options per span).
+
+    Each (span, target) is typed by one ``chart_reductions`` call over
+    the span's word-type alternatives; sense combinations follow lexicon
+    order, and each combination's reductions the canonical reduction
+    order.  ``type_spans`` and ``analyses`` both enumerate through here.
+    """
     roles = sentence.roles
     if roles not in _PATTERNS:
         raise InfelicitousStructure(
             f"unsupported span pattern {'-'.join(roles)}: expected theme/rheme, "
             "rheme-theme-rheme, or theme-rheme-theme"
         )
+    senses = [[lexicon[w].senses for w in span.tokens] for span in sentence.spans]
+    alternatives = [[[s.type for s in options] for options in words] for words in senses]
     found = []
     failures: list[tuple[str, int, PregroupType]] = []
     # readings of one sentence can share a span's target
@@ -236,8 +226,8 @@ def _derivations(
         for k, (span, tgt) in enumerate(zip(sentence.spans, targets)):
             if (k, tgt) not in typed:
                 typed[k, tgt] = [
-                    SpanTyping(span, senses, diagram, tgt)
-                    for senses, diagram in _sense_reductions(lexicon, span.tokens, tgt)
+                    SpanTyping(span, tuple(map(getitem, senses[k], choice)), diagram, tgt)
+                    for choice, diagram in chart_reductions(alternatives[k], tgt)
                 ]
         options = [typed[k, tgt] for k, tgt in enumerate(targets)]
         empty = [k for k, opts in enumerate(options) if not opts]
@@ -247,8 +237,7 @@ def _derivations(
     if not found:
         raise InfelicitousStructure("; ".join(
             f"{pattern}: span {k + 1} {sentence.spans[k]} has no sense assignment "
-            f"reducing to '{target}'; best reached: "
-            f"'{closest_residual([lexicon[w].types() for w in sentence.spans[k].tokens])}'"
+            f"reducing to '{target}'; best reached: '{closest_residual(alternatives[k])}'"
             for pattern, k, target in failures
         ))
     return found

@@ -386,6 +386,8 @@ def chart_reductions(
     order: sense choices in ``itertools.product`` order, then diagrams
     by their ascending link lists.  The enumeration only walks chart
     cells that lead to a reduction, so its cost grows with the output.
+    Span typing (``intonation._derivations``), ``intonsem reduce`` in
+    both input modes, and :func:`reduce` all enumerate through here.
 
     >>> n, s = atom("n"), atom("s")
     >>> [(c, d.to_json()) for c, d in chart_reductions([[n, s], [n.r @ s]], s)]

@@ -119,6 +119,28 @@ class TestReduce:
         assert code == 2
         assert "empty input" in err
 
+    def test_word_and_type_modes_agree(self, run, tmp_path):
+        # one sense per word: the words spell out the type string
+        lex = tmp_path / "lex.json"
+        lex.write_text(json.dumps({
+            "dims": {"n": 2, "s": 2, "theta": 2, "rho": 2},
+            "entries": [
+                {"word": "a", "type": "n", "shape": [2], "data": [1, 0]},
+                {"word": "b", "type": "n.r s n.l", "shape": [2, 2, 2], "data": [1] * 8},
+                {"word": "c", "type": "n", "shape": [2], "data": [0, 1]},
+            ],
+        }))
+        words = ("reduce", "a b c", "--lexicon", str(lex))
+        types = ("reduce", "n n.r s n.l n")
+        code_w, out_w, _ = run(*words, "--format", "json")
+        code_t, out_t, _ = run(*types, "--format", "json")
+        assert code_w == code_t == 0
+        (got,) = json.loads(out_w)["reductions"]
+        assert got.pop("word_types") == ["n", "n.r s n.l", "n"]
+        assert [got] == json.loads(out_t)["reductions"]
+        dot_w, dot_t = run(*words, "--emit-diagram", "dot"), run(*types, "--emit-diagram", "dot")
+        assert dot_w == dot_t and dot_w[0] == 0
+
 
 class TestMeaning:
     def test_json_fixture(self, run, lexicon_path, example_lexicon):
@@ -313,6 +335,24 @@ class TestCompare:
         assert "distance: 0" in out
         assert "equal (within 1.0000000000000001e-09): true" in out
 
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "-inf"])
+    def test_bad_tolerance_exits_two(self, run, lexicon_path, tolerance):
+        code, out, err = run(
+            "compare", "Mary likes {R musicals}", "Mary likes {R musicals}",
+            "--lexicon", lexicon_path, f"--tolerance={tolerance}",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--tolerance must be a non-negative number" in err
+
+    def test_infinite_tolerance_is_valid(self, run, lexicon_path):
+        code, out, _ = run(
+            "compare", "Mary likes {R musicals}", "Mary likes {R art}",
+            "--lexicon", lexicon_path, "--tolerance", "inf",
+        )
+        assert code == 0
+        assert "equal (within inf): true" in out
 
 class TestTruth:
     def test_json_member(self, run, universe_path):
@@ -511,3 +551,8 @@ class TestSelfcheck:
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) == 6
         assert all(l.endswith(": PASS") for l in lines)
+
+    def test_tolerance_is_not_an_option(self, run):
+        code, out, err = run("selfcheck", "--tolerance", "nan")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1

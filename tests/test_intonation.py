@@ -26,7 +26,15 @@ from intonsem.intonation import (
     type_spans,
 )
 from intonsem.lexicon import Lexicon, LexiconEntry, LexiconError
-from intonsem.pregroup import PregroupType, SimpleType, atom, flatten, parse_type, reduce
+from intonsem.pregroup import (
+    PregroupType,
+    SimpleType,
+    atom,
+    chart_reductions,
+    flatten,
+    parse_type,
+    reduce,
+)
 from intonsem.tensor import TypedTensor, compose
 
 from _oracles import brute_force_reductions, inverse_reduce_sequence, random_type_sequence
@@ -186,9 +194,10 @@ class TestSenseReductions:
                     found = brute_force_reductions(flatten([s.type for s in combo]), list(target))
                     types = [str(s.type) for s in combo]
                     want += [(types, links, survivors) for links, survivors in sorted(found)]
+                alternatives = [lex[w].types() for w in span]
                 got = [
-                    ([str(s.type) for s in senses], d.links, d.survivors)
-                    for senses, d in intonation._sense_reductions(lex, span, target)
+                    ([str(t[k]) for t, k in zip(alternatives, choice)], d.links, d.survivors)
+                    for choice, d in chart_reductions(alternatives, target)
                 ]
                 assert got == want
                 checked += len(got)

@@ -1,13 +1,17 @@
-"""The README's python quickstart runs, and prints what the README says.
+"""The README's python quickstart runs, and prints what the README says;
+every command-line option is named in its subcommand's section.
 
 A documented output line is a ``# …`` comment at the end of a ``print``
 line, or a run of comment lines directly below one.
 """
 
+import argparse
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from intonsem import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,3 +49,25 @@ def test_quickstart_prints_what_the_readme_documents(monkeypatch):
     for line in expected:
         # in order: each documented line is printed after the previous one
         assert any(got.strip() == line for got in printed), f"README documents {line!r}"
+
+
+def _command_sections() -> dict[str, str]:
+    readme = (ROOT / "README.md").read_text()
+    part = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return {c.split("\n", 1)[0].strip(): c for c in part.split("\n### ")[1:]}
+
+
+def test_every_cli_option_is_documented():
+    sections = _command_sections()
+    (commands,) = [
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(commands.choices) == set(sections)
+    missing = [
+        f"{name} {option}"
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help") and option not in sections[name]
+    ]
+    assert missing == []
