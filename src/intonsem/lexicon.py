@@ -250,7 +250,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     ):
         raise LexiconError(f"{path}: 'dims' must map base names to positive integers")
 
-    sidecars: dict[Path, dict[str, np.ndarray]] = {}
+    sidecars: dict[str, dict[str, np.ndarray]] = {}
     senses: dict[str, list[TypedTensor]] = {}
     for k, item in enumerate(raw["entries"], start=1):
         if not (
@@ -273,13 +273,11 @@ def load_lexicon(path: str | Path) -> Lexicon:
                         f"data_ref sidecars hold vectors, but type '{type_}' "
                         f"has {len(type_)} factors"
                     )
-                ref = (path.parent / item["data_ref"]).resolve()
+                ref = item["data_ref"]
                 if ref not in sidecars:
-                    sidecars[ref] = _load_sidecar(ref)
+                    sidecars[ref] = _load_sidecar((path.parent / ref).resolve())
                 if word not in sidecars[ref]:
-                    raise LexiconError(
-                        f"sidecar {item['data_ref']!r} has no row for {word!r}"
-                    )
+                    raise LexiconError(f"sidecar {ref!r} has no row for {word!r}")
                 arr = sidecars[ref][word]
             else:
                 arr = tensor_from_json(item)

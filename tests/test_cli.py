@@ -552,6 +552,25 @@ class TestSelfcheck:
         assert len(lines) == 6
         assert all(l.endswith(": PASS") for l in lines)
 
+    @pytest.mark.parametrize(
+        "name, broken, failing",
+        [
+            ("delta", lambda v: np.diag(2 * v), "copy/merge round trips"),
+            ("fuse", lambda a, b, wires=1: a, "spider fusion sample"),
+        ],
+        ids=["delta", "fuse"],
+    )
+    def test_a_broken_map_fails_its_property_alone(
+        self, run, monkeypatch, name, broken, failing
+    ):
+        monkeypatch.setattr(cli, name, broken)
+        code, out, err = run("selfcheck")
+        assert (code, err) == (1, "")
+        verdicts = dict(line.rsplit(": ", 1) for line in out.splitlines())
+        assert len(verdicts) == 6
+        assert {p for p, v in verdicts.items() if v != "PASS"} == {failing}
+        assert verdicts[failing] == "FAIL"
+
     def test_tolerance_is_not_an_option(self, run):
         code, out, err = run("selfcheck", "--tolerance", "nan")
         assert (code, out) == (2, "")

@@ -260,6 +260,23 @@ class TestLoadErrors:
         lex = load_lexicon(p)
         assert np.array_equal(lex["x"].sense(parse_type("n")).array, [1.0, 0.0])
 
+    def test_one_sidecar_under_two_spellings(self, tmp_path, write_lexicon):
+        (tmp_path / "v.tsv").write_text("x\t1 0\ny\t0 1\n")
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [
+                    {"word": "x", "type": "n", "data_ref": "v.tsv"},
+                    {"word": "y", "type": "n", "data_ref": "./v.tsv"},
+                    {"word": "x", "type": "rho", "data_ref": "./v.tsv"},
+                ],
+            }
+        )
+        lex = load_lexicon(p)
+        assert np.array_equal(lex["x"].sense(parse_type("n")).array, [1.0, 0.0])
+        assert np.array_equal(lex["y"].sense(parse_type("n")).array, [0.0, 1.0])
+        assert np.array_equal(lex["x"].sense(parse_type("rho")).array, [1.0, 0.0])
+
 
 class TestEntryAndLexiconInvariants:
     def test_duplicate_sense_in_entry(self):

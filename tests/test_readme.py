@@ -1,5 +1,6 @@
 """The README's python quickstart runs, and prints what the README says;
-every command-line option is named in its subcommand's section.
+every command-line option is named in its subcommand's section, and
+every ``selfcheck`` property in that command's section.
 
 A documented output line is a ``# …`` comment at the end of a ``print``
 line, or a run of comment lines directly below one.
@@ -71,3 +72,8 @@ def test_every_cli_option_is_documented():
         if option not in ("-h", "--help") and option not in sections[name]
     ]
     assert missing == []
+
+
+def test_every_selfcheck_property_is_documented():
+    section = _command_sections()["selfcheck"]
+    assert [name for name, _ in cli._selfchecks() if name not in section] == []
