@@ -15,6 +15,7 @@ means the same thing.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from operator import getitem
 
@@ -87,62 +88,48 @@ class AnnotatedSentence:
         return " ".join(str(s) for s in self.spans)
 
 
+# One item after optional whitespace: a braced span, a run of bare tokens,
+# or a stray brace.  The classes are disjoint, so matching is linear, and
+# \s is exactly str.isspace(), so tokens split where str.split() splits.
+_ITEM = re.compile(r"\s*(?:\{([^{}]*)\}|([^\s{}]+(?:\s+[^\s{}]+)*)|(\S))")
+
+
 def parse_annotated(text: str) -> AnnotatedSentence:
     """Parse ``{T ...}`` / ``{R ...}`` spans; bare tokens become themes.
 
-    Adjacent spans of the same role merge into one span.
+    Adjacent spans of the same role merge into one span.  Error
+    positions are 0-based character indices into ``text``.
 
     >>> print(parse_annotated("Mary likes {R musicals}"))
     {T Mary likes} {R musicals}
     """
     spans: list[Span] = []
-    pending: list[str] = []
-
-    def flush():
-        if pending:
-            spans.append(Span(THEME, tuple(pending)))
-            pending.clear()
-
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "{":
-            close = text.find("}", i)
-            if close < 0:
-                raise AnnotationSyntaxError(f"unclosed '{{' at position {i}")
-            inner = text[i + 1:close]
-            if "{" in inner:
-                raise AnnotationSyntaxError(f"nested '{{' at position {i + 1 + inner.index('{')}")
-            parts = inner.split()
-            if not parts or parts[0] not in ("T", "R"):
-                raise AnnotationSyntaxError(
-                    f"span at position {i} must start with 'T' or 'R'"
-                )
-            if len(parts) < 2:
-                raise AnnotationSyntaxError(f"empty span at position {i}")
-            flush()
-            spans.append(Span(THEME if parts[0] == "T" else RHEME, tuple(parts[1:])))
-            i = close + 1
-        elif c == "}":
-            raise AnnotationSyntaxError(f"unmatched '}}' at position {i}")
+    i = 0
+    while m := _ITEM.match(text, i):
+        braced, bare, stray = m.groups()
+        at = m.start(m.lastindex) - (m.lastindex == 1)  # the item's first character
+        if stray == "}":
+            raise AnnotationSyntaxError(f"unmatched '}}' at position {at}")
+        if stray:
+            if text.find("}", at) < 0:
+                raise AnnotationSyntaxError(f"unclosed '{{' at position {at}")
+            raise AnnotationSyntaxError(f"nested '{{' at position {text.index('{', at + 1)}")
+        if bare:
+            role, tokens = THEME, bare.split()
         else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "{}":
-                j += 1
-            pending.append(text[i:j])
-            i = j
-    flush()
+            tag, *tokens = braced.split() or [""]
+            role = {"T": THEME, "R": RHEME}.get(tag)
+            if role is None:
+                raise AnnotationSyntaxError(f"span at position {at} must start with 'T' or 'R'")
+            if not tokens:
+                raise AnnotationSyntaxError(f"empty span at position {at}")
+        if spans and spans[-1].role == role:
+            tokens = [*spans.pop().tokens, *tokens]
+        spans.append(Span(role, tuple(tokens)))
+        i = m.end()
     if not spans:
         raise AnnotationSyntaxError("the sentence has no tokens")
-    merged: list[Span] = []
-    for s in spans:
-        if merged and merged[-1].role == s.role:
-            merged[-1] = Span(s.role, merged[-1].tokens + s.tokens)
-        else:
-            merged.append(s)
-    return AnnotatedSentence(tuple(merged))
+    return AnnotatedSentence(tuple(spans))
 
 
 @dataclass(frozen=True)
@@ -235,9 +222,11 @@ def _derivations(
         if not empty:
             found.append((pattern, spec, options))
     if not found:
+        # readings of one sentence can fail at the same span
+        best = {k: closest_residual(alternatives[k]) for k in {k for _, k, _ in failures}}
         raise InfelicitousStructure("; ".join(
             f"{pattern}: span {k + 1} {sentence.spans[k]} has no sense assignment "
-            f"reducing to '{target}'; best reached: '{closest_residual(alternatives[k])}'"
+            f"reducing to '{target}'; best reached: '{best[k]}'"
             for pattern, k, target in failures
         ))
     return found

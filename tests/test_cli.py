@@ -557,8 +557,10 @@ class TestSelfcheck:
         [
             ("delta", lambda v: np.diag(2 * v), "copy/merge round trips"),
             ("fuse", lambda a, b, wires=1: a, "spider fusion sample"),
+            # column maxima: exact on non-negative diagonal or equal-row matrices
+            ("mu", lambda w: np.max(w, axis=0), "copy/merge round trips"),
         ],
-        ids=["delta", "fuse"],
+        ids=["delta", "fuse", "mu"],
     )
     def test_a_broken_map_fails_its_property_alone(
         self, run, monkeypatch, name, broken, failing

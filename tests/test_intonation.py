@@ -31,6 +31,7 @@ from intonsem.pregroup import (
     SimpleType,
     atom,
     chart_reductions,
+    closest_residual,
     flatten,
     parse_type,
     reduce,
@@ -103,6 +104,41 @@ class TestParseAnnotated:
     def test_empty_sentence(self):
         with pytest.raises(AnnotationSyntaxError, match="no tokens"):
             parse_annotated("   ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a } {R b", "unmatched '}' at position 2"),
+            ("Mary {R musicals", "unclosed '{' at position 5"),
+            ("{T a {R b}", "nested '{' at position 5"),
+            ("{T a} {R b {c}", "nested '{' at position 11"),
+            ("Mary {X musicals}", "span at position 5 must start with 'T' or 'R'"),
+            ("Mary {\u3000}", "span at position 5 must start with 'T' or 'R'"),
+            ("Mary {R\t}", "empty span at position 5"),
+            (" \t\n\xa0\u3000", "the sentence has no tokens"),
+        ],
+    )
+    def test_error_message_and_position(self, text, message):
+        with pytest.raises(AnnotationSyntaxError) as exc:
+            parse_annotated(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("sep", [" ", "\t", "\n", "\xa0", "\u3000"])
+    def test_unicode_whitespace_separates_tokens(self, sep):
+        s = parse_annotated(f"Mary{sep}likes{sep}{{R{sep}musicals{sep}art}}{sep}")
+        assert s.spans == (
+            Span(THEME, ("Mary", "likes")),
+            Span(RHEME, ("musicals", "art")),
+        )
+
+    def test_bare_run_between_spans_merges_with_adjacent_theme(self):
+        s = parse_annotated("{R a} b c {T d} {R e}")
+        assert s.spans == (
+            Span(RHEME, ("a",)),
+            Span(THEME, ("b", "c", "d")),
+            Span(RHEME, ("e",)),
+        )
+        assert parse_annotated("{T a}b {R c}").spans[0] == Span(THEME, ("a", "b"))
 
 
 class TestSpanInvariants:
@@ -220,6 +256,21 @@ class TestSenseReductions:
             "single-rheme: span 1 {T book book} has no sense assignment "
             "reducing to 'theta'; best reached: 'n n'"
         )
+
+    def test_residual_computed_once_per_failing_span(self, example_lexicon, monkeypatch):
+        # split-theme fails spans 1 and 3, relational-rheme spans 1, 2 and 3
+        calls = []
+
+        def counting(alternatives):
+            calls.append(alternatives)
+            return closest_residual(alternatives)
+
+        monkeypatch.setattr(intonation, "closest_residual", counting)
+        s = parse_annotated("{T Mary snores} {R John} {T Mary snores}")
+        with pytest.raises(InfelicitousStructure) as exc:
+            type_spans(s, example_lexicon)
+        assert str(exc.value).count("has no sense assignment") == 5
+        assert len(calls) == 3
 
 
 class TestSingleRhemeMeaning:
