@@ -66,18 +66,17 @@ def _stable_json(obj) -> str:
         return str(obj)
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
-    if obj is None:
-        return "null"
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(k)}: {_stable_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return "[" + ", ".join(_stable_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _vec_text(arr: np.ndarray) -> str:
-    return "[" + ", ".join(_fmt_float(x) for x in np.asarray(arr).ravel()) + "]"
+def _vec_text(tensor: dict) -> str:
+    """The row-major data of a wire tensor (``{"shape", "data"}``)."""
+    return "[" + ", ".join(map(_fmt_float, tensor["data"])) + "]"
 
 
 def _emit_dot(factors, diagram) -> str:
@@ -111,45 +110,41 @@ def cmd_reduce(args) -> int:
         alternatives = [lex[w].types() for w in words]
     else:
         alternatives = [[parse_type(args.input)]]
-    reductions = [
-        ([options[k] for options, k in zip(alternatives, choice)], diagram)
-        for choice, diagram in chart_reductions(alternatives, target)
-    ]
+    found = chart_reductions(alternatives, target)
 
-    grammatical = bool(reductions)
+    def chosen(choice):
+        return [options[k] for options, k in zip(alternatives, choice)]
+
     if args.emit_diagram == "dot":
-        if not grammatical:
+        if not found:
             raise _Failure(1, "no reduction to draw")
-        types, diagram = reductions[0]
-        print(_emit_dot(flatten(types), diagram))
+        choice, diagram = found[0]
+        print(_emit_dot(flatten(chosen(choice)), diagram))
         return 0
 
+    out = {
+        "input": args.input,
+        "target": args.target,
+        "grammatical": bool(found),
+        "reductions": [
+            ({"word_types": [str(t) for t in chosen(choice)]} if args.lexicon else {})
+            | diagram.to_json()
+            for choice, diagram in found
+        ],
+    }
     if args.format == "json":
-        out = {
-            "input": args.input,
-            "target": args.target,
-            "grammatical": grammatical,
-            "reductions": [],
-        }
-        for types, diagram in reductions:
-            item = {"word_types": [str(t) for t in types]} if args.lexicon else {}
-            item.update(diagram.to_json())
-            out["reductions"].append(item)
         print(_stable_json(out))
     else:
         if not args.lexicon:
             print(f"factors: {alternatives[0][0]}")
-        if not grammatical:
+        if not out["grammatical"]:
             print(f"no reduction to '{target}'")
-        for k, (types, diagram) in enumerate(reductions, start=1):
-            j = diagram.to_json()
-            links = " ".join(f"({i},{jj})" for i, jj in j["links"]) or "(none)"
-            survivors = " ".join(str(x) for x in j["survivors"]) or "(none)"
-            prefix = f"reduction {k}: "
-            if args.lexicon:
-                prefix += "types " + " | ".join(str(t) for t in types) + "; "
-            print(prefix + f"links {links}; survivors {survivors}")
-    return 0 if grammatical else 1
+        for k, item in enumerate(out["reductions"], start=1):
+            types = "types " + " | ".join(item["word_types"]) + "; " if args.lexicon else ""
+            links = " ".join(f"({i},{j})" for i, j in item["links"]) or "(none)"
+            survivors = " ".join(map(str, item["survivors"])) or "(none)"
+            print(f"reduction {k}: {types}links {links}; survivors {survivors}")
+    return 0 if out["grammatical"] else 1
 
 
 def _analysis_json(a: intonation.Analysis) -> dict:
@@ -181,25 +176,21 @@ def _finite(found: list[intonation.Analysis]) -> list[intonation.Analysis]:
 def cmd_meaning(args) -> int:
     lex = load_lexicon(args.lexicon)
     sentence = parse_annotated(args.sentence)
-    found = _finite(analyses(sentence, lex))
+    out = {
+        "sentence": str(sentence),
+        "analyses": [_analysis_json(a) for a in _finite(analyses(sentence, lex))],
+    }
     if args.format == "json":
-        out = {
-            "sentence": str(sentence),
-            "analyses": [_analysis_json(a) for a in found],
-        }
         print(_stable_json(out))
     else:
-        print(str(sentence))
-        for k, a in enumerate(found, start=1):
-            print(f"analysis {k}: pattern {a.pattern}")
-            for typing, value in zip(a.typings, a.values):
-                words = " ".join(typing.span.tokens)
-                print(
-                    f"  {typing.span.role} '{words}' -> {typing.target}: "
-                    + _vec_text(value.array)
-                )
-            order = a.meaning.order
-            print(f"  meaning (order {order}): " + _vec_text(a.meaning.array))
+        print(out["sentence"])
+        for k, a in enumerate(out["analyses"], start=1):
+            print(f"analysis {k}: pattern {a['pattern']}")
+            for span in a["spans"]:
+                words = " ".join(span["tokens"])
+                print(f"  {span['role']} '{words}' -> {span['type']}: " + _vec_text(span["value"]))
+            order = len(a["meaning"]["shape"])
+            print(f"  meaning (order {order}): " + _vec_text(a["meaning"]))
     return 0
 
 
@@ -250,22 +241,21 @@ def cmd_truth(args) -> int:
     theme = theme_vector(universe, rel, subject)
     inter = intersect(universe, theme, rheme)
     names = [universe.individuals[k] for k in np.flatnonzero(inter)]
-    bit = len(names)  # the intersection is the rheme alone or empty
+    out = {
+        "subject": subject,
+        "relation": rel_name,
+        "rheme": rheme,
+        "theme_vector": tensor_to_json(theme),
+        "intersection": names,
+        "membership": len(names),  # the intersection is the rheme alone or empty
+    }
     if args.format == "json":
-        out = {
-            "subject": subject,
-            "relation": rel_name,
-            "rheme": rheme,
-            "theme_vector": tensor_to_json(theme),
-            "intersection": names,
-            "membership": bit,
-        }
         print(_stable_json(out))
     else:
-        print(f"theme({subject} {rel_name}) = " + _vec_text(theme))
-        shown = "{" + ", ".join(names) + "}" if names else "∅"
+        print(f"theme({out['subject']} {out['relation']}) = " + _vec_text(out["theme_vector"]))
+        shown = "{" + ", ".join(out["intersection"]) + "}" if out["intersection"] else "∅"
         print(f"intersection: {shown}")
-        print(f"membership: {bit}")
+        print(f"membership: {out['membership']}")
     return 0
 
 

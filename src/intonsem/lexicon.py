@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .pregroup import PregroupType, TypeSyntaxError, atom, parse_type
-from .tensor import TypedTensor, semantic_shape, tensor_from_json
+from .tensor import TypedTensor, UnknownBaseError, semantic_shape, tensor_from_json
 
 THEME_BASE = "theta"
 RHEME_BASE = "rho"
@@ -27,7 +27,6 @@ REQUIRED_BASES = ("n", "s", THEME_BASE, RHEME_BASE)
 
 _N = atom("n")
 _RHO = atom(RHEME_BASE)
-_THETA = atom(THEME_BASE)
 _VERB_CANONICAL = parse_type("n.r s n.l")
 _VERB_THEME_LEFT = parse_type("n.r theta")
 _VERB_THEME_RIGHT = parse_type("theta n.l")
@@ -71,7 +70,10 @@ class LexiconEntry:
 def _check_shape(
     word: str, type_: PregroupType, shape: tuple[int, ...], spaces: Mapping[str, int]
 ) -> None:
-    expected = semantic_shape(type_, spaces)
+    try:
+        expected = semantic_shape(type_, spaces)
+    except UnknownBaseError as exc:
+        raise LexiconError(str(exc)) from exc
     if shape != expected:
         raise LexiconError(
             f"shape mismatch for word {word!r}, sense '{type_}': "

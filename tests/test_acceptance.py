@@ -7,6 +7,7 @@ asserts, so a red run pinpoints the guarantee that broke.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,7 @@ from _oracles import brute_force_reductions, inverse_reduce_sequence, random_typ
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "intonsem" / "data"
+SRC_DIR = DATA_DIR.parent.parent
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -389,6 +391,10 @@ def _run_fixture(sentence: str) -> bytes:
         ],
         capture_output=True,
         check=True,
+        # pytest's pythonpath setting reaches this process only, not the child
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+        )},
     )
     return proc.stdout
 

@@ -81,6 +81,16 @@ class TestReduce:
             }
         ]
 
+    def test_lexicon_mode_text_output(self, run, lexicon_path):
+        code, out, _ = run("reduce", "Mary likes John", "--lexicon", lexicon_path)
+        assert (code, out) == (
+            0, "reduction 1: types n | n.r s n.l | n; links (1,2) (4,5); survivors 3\n"
+        )
+
+    def test_no_reduction_text_output(self, run):
+        code, out, _ = run("reduce", "n n.r")
+        assert (code, out) == (1, "factors: n n.r\nno reduction to 's'\n")
+
     def test_lexicon_mode_unknown_word(self, run, lexicon_path):
         code, _, err = run("reduce", "Mary likes zebras", "--lexicon", lexicon_path)
         assert code == 2
@@ -180,6 +190,47 @@ class TestMeaning:
         assert "theme 'Mary likes' -> theta: [2, 3, 6, 3]" in out
         assert "rheme 'musicals' -> rho: [0, 1, 1, 2]" in out
         assert "meaning (order 1): [0, 3, 6, 6]" in out
+
+    def test_text_output_order_two(self, run, lexicon_path):
+        code, out, _ = run("meaning", "{R John} likes {R Mary}", "--lexicon", lexicon_path)
+        assert code == 0
+        assert out == (
+            "{R John} {T likes} {R Mary}\n"
+            "analysis 1: pattern double-rheme\n"
+            "  rheme 'John' -> rho: [1, 0, 1, 0]\n"
+            "  theme 'likes' -> theta theta: "
+            "[1, 0, 2, 1, 0, 1, 1, 0, 2, 1, 0, 1, 0, 2, 1, 1]\n"
+            "  rheme 'Mary' -> rho: [2, 1, 0, 1]\n"
+            "  meaning (order 2): [2, 0, 0, 1, 0, 0, 0, 0, 4, 1, 0, 1, 0, 0, 0, 0]\n"
+        )
+
+    def test_text_output_two_analyses(self, run, tmp_path):
+        # the rheme has a rho and a rho rho sense: split-theme, then relational
+        lex = tmp_path / "lex.json"
+        lex.write_text(json.dumps({
+            "dims": {"n": 2, "s": 2, "theta": 2, "rho": 2},
+            "entries": [
+                {"word": "a", "type": "theta", "shape": [2], "data": [1, 2]},
+                {"word": "b", "type": "rho", "shape": [2], "data": [3, 4]},
+                {"word": "b", "type": "rho rho", "shape": [2, 2], "data": [1, 2, 3, 4]},
+                {"word": "c", "type": "theta", "shape": [2], "data": [5, 6]},
+            ],
+        }))
+        code, out, _ = run("meaning", "{T a} {R b} {T c}", "--lexicon", str(lex))
+        assert code == 0
+        assert out == (
+            "{T a} {R b} {T c}\n"
+            "analysis 1: pattern split-theme\n"
+            "  theme 'a' -> theta: [1, 2]\n"
+            "  rheme 'b' -> rho: [3, 4]\n"
+            "  theme 'c' -> theta: [5, 6]\n"
+            "  meaning (order 1): [15, 48]\n"
+            "analysis 2: pattern relational-rheme\n"
+            "  theme 'a' -> theta: [1, 2]\n"
+            "  rheme 'b' -> rho rho: [1, 2, 3, 4]\n"
+            "  theme 'c' -> theta: [5, 6]\n"
+            "  meaning (order 2): [5, 12, 30, 48]\n"
+        )
 
     def test_infelicitous_exits_one(self, run, lexicon_path):
         code, _, err = run(
@@ -393,6 +444,12 @@ class TestTruth:
         assert code == 0
         assert "intersection: ∅" in out
         assert "membership: 0" in out
+
+    def test_text_non_member_with_boundary(self, run, universe_path):
+        code, out, _ = run("truth", "Sue > likes John", "--universe", universe_path)
+        assert (code, out) == (
+            0, "theme(Sue likes) = [0, 0, 0]\nintersection: ∅\nmembership: 0\n"
+        )
 
     def test_boundary_markers_ignored(self, run, universe_path):
         plain = run("truth", "John likes Mary", "--universe", universe_path,

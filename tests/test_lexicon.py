@@ -294,6 +294,11 @@ class TestEntryAndLexiconInvariants:
         with pytest.raises(LexiconError, match="shape mismatch"):
             Lexicon(DIMS, {"ann": e})
 
+    def test_lexicon_reports_unknown_base(self):
+        e = _entry("x", ("q", np.zeros(2)))
+        with pytest.raises(LexiconError, match="^no space assigned to base 'q'$"):
+            Lexicon(DIMS, {"x": e})
+
     def test_lexicon_requires_intonation_bases(self):
         with pytest.raises(LexiconError, match="rho"):
             Lexicon({"n": 2, "s": 1, "theta": 2}, {})
