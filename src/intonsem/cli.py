@@ -161,16 +161,16 @@ def _analysis_json(a: intonation.Analysis) -> dict:
         )
     return {
         "pattern": a.pattern,
-        "meaning": tensor_to_json(a.meaning.array),
+        "meaning": tensor_to_json(_finite(a.meaning).array),
         "spans": spans,
     }
 
 
-def _finite(found: list[intonation.Analysis]) -> list[intonation.Analysis]:
+def _finite(m: intonation.SentenceMeaning) -> intonation.SentenceMeaning:
     # np.einsum, which combines the spans, sets no floating-point flags
-    if not all(np.isfinite(a.meaning.array).all() for a in found):
+    if not np.isfinite(m.array).all():
         raise FloatingPointError("overflow encountered in einsum")
-    return found
+    return m
 
 
 def cmd_meaning(args) -> int:
@@ -178,7 +178,7 @@ def cmd_meaning(args) -> int:
     sentence = parse_annotated(args.sentence)
     out = {
         "sentence": str(sentence),
-        "analyses": [_analysis_json(a) for a in _finite(analyses(sentence, lex))],
+        "analyses": [_analysis_json(a) for a in analyses(sentence, lex)],
     }
     if args.format == "json":
         print(_stable_json(out))
@@ -198,8 +198,8 @@ def cmd_compare(args) -> int:
     if not args.tolerance >= 0:  # also catches NaN
         raise _Failure(2, f"--tolerance must be a non-negative number, got {args.tolerance}")
     lex = load_lexicon(args.lexicon)
-    ma = _finite(analyses(parse_annotated(args.a), lex))[0].meaning
-    mb = _finite(analyses(parse_annotated(args.b), lex))[0].meaning
+    ma = _finite(intonation.meaning(parse_annotated(args.a), lex))
+    mb = _finite(intonation.meaning(parse_annotated(args.b), lex))
     if ma.order != mb.order:
         raise _Failure(
             1,

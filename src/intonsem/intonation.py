@@ -17,7 +17,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import getitem
+from typing import Iterator
 
 import numpy as np
 
@@ -141,6 +143,7 @@ class SpanTyping:
     diagram: ReductionDiagram
     target: PregroupType
 
+    @cached_property  # composed on first use, once however many derivations share it
     def value(self) -> TypedTensor:
         return compose(self.senses, self.diagram)
 
@@ -189,14 +192,14 @@ _PATTERNS: dict[tuple[str, ...], list[tuple[str, tuple[PregroupType, ...], str]]
 
 def _derivations(
     sentence: AnnotatedSentence, lexicon: Lexicon
-) -> list[tuple[str, str, list[list[SpanTyping]]]]:
-    """Per realizable reading: (pattern, einsum spec, options per span).
-
-    Each (span, target) is typed by one ``chart_reductions`` call over
-    the span's word-type alternatives; sense combinations follow lexicon
-    order, and each combination's reductions the canonical reduction
-    order.  ``type_spans`` and ``analyses`` both enumerate through here.
-    """
+) -> Iterator[tuple[str, str, tuple[SpanTyping, ...]]]:
+    """Each derivation, as (pattern, einsum spec, typing per span), in
+    canonical order.  A reading's spans are typed when the stream reaches
+    it, each (span, target) by one ``chart_reductions`` call; sense
+    combinations follow lexicon order, and each combination's reductions
+    the canonical reduction order.  Raises InfelicitousStructure only if
+    the stream ends without a derivation.  ``type_spans`` and
+    ``_analyses`` read it, and nothing else enumerates derivations."""
     roles = sentence.roles
     if roles not in _PATTERNS:
         raise InfelicitousStructure(
@@ -205,7 +208,7 @@ def _derivations(
         )
     senses = [[lexicon[w].senses for w in span.tokens] for span in sentence.spans]
     alternatives = [[[s.type for s in options] for options in words] for words in senses]
-    found = []
+    found = False
     failures: list[tuple[str, int, PregroupType]] = []
     # readings of one sentence can share a span's target
     typed: dict[tuple[int, PregroupType], list[SpanTyping]] = {}
@@ -220,7 +223,9 @@ def _derivations(
         empty = [k for k, opts in enumerate(options) if not opts]
         failures.extend((pattern, k, targets[k]) for k in empty)
         if not empty:
-            found.append((pattern, spec, options))
+            found = True
+            for typings in itertools.product(*options):
+                yield pattern, spec, typings
     if not found:
         # readings of one sentence can fail at the same span
         best = {k: closest_residual(alternatives[k]) for k in {k for _, k, _ in failures}}
@@ -229,7 +234,6 @@ def _derivations(
             f"reducing to '{target}'; best reached: '{best[k]}'"
             for pattern, k, target in failures
         ))
-    return found
 
 
 def type_spans(
@@ -243,11 +247,15 @@ def type_spans(
     offending spans and the shortest type each reaches, when no sense
     combination works.
     """
-    return [
-        combo
-        for _, _, options in _derivations(sentence, lexicon)
-        for combo in itertools.product(*options)
-    ]
+    return [typings for _, _, typings in _derivations(sentence, lexicon)]
+
+
+def _analyses(sentence: AnnotatedSentence, lexicon: Lexicon) -> Iterator[Analysis]:
+    lexicon.shared_dim()
+    for pattern, spec, typings in _derivations(sentence, lexicon):
+        values = tuple(t.value for t in typings)
+        arr = np.einsum(spec, *(v.array for v in values))
+        yield Analysis(pattern, typings, values, SentenceMeaning(arr, pattern))
 
 
 def analyses(sentence: AnnotatedSentence, lexicon: Lexicon) -> list[Analysis]:
@@ -262,25 +270,17 @@ def analyses(sentence: AnnotatedSentence, lexicon: Lexicon) -> list[Analysis]:
     and reductions follow the canonical reduction order.  Each span
     option is composed once, however many derivations share it.
     """
-    lexicon.shared_dim()
-    out = []
-    for pattern, spec, options in _derivations(sentence, lexicon):
-        valued = [[(t, t.value()) for t in opts] for opts in options]
-        for combo in itertools.product(*valued):
-            typings, values = zip(*combo)
-            arr = np.einsum(spec, *(v.array for v in values))
-            out.append(Analysis(pattern, typings, values, SentenceMeaning(arr, pattern)))
-    return out
+    return list(_analyses(sentence, lexicon))
 
 
 def meaning(sentence: AnnotatedSentence, lexicon: Lexicon) -> SentenceMeaning:
-    """The meaning of the first derivation (see :func:`analyses`).
+    """The meaning of the first derivation (see :func:`analyses`), computed alone.
 
     For the general theme/rheme case this is the element-wise product of
     the two span vectors; the three-span patterns contract their span
     values by the einsum of their spider normal form.
     """
-    return analyses(sentence, lexicon)[0].meaning
+    return next(_analyses(sentence, lexicon)).meaning
 
 
 def _pattern_meaning(
@@ -294,7 +294,7 @@ def _pattern_meaning(
         raise InfelicitousStructure(
             f"expected a {'-'.join(roles)} sentence, got {'-'.join(sentence.roles)}"
         )
-    for a in analyses(sentence, lexicon):
+    for a in _analyses(sentence, lexicon):
         if a.pattern == pattern:
             return a.meaning
     raise InfelicitousStructure(

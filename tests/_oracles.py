@@ -3,7 +3,8 @@
 These deliberately avoid the library's algorithms: reductions are found
 by exhaustively rewriting adjacent cancellable pairs, and contraction is
 a direct sum over all index assignments.  Both are exponential and only
-meant for small inputs.
+meant for small inputs.  Whole analyses combine the two per span and
+merge the span values with explicit spider tensors.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import itertools
 
 import numpy as np
 
-from intonsem.pregroup import PregroupType, SimpleType, cancels
+from intonsem.frobenius import spider
+from intonsem.pregroup import PregroupType, ReductionDiagram, SimpleType, cancels
 
 
 def brute_force_reductions(
@@ -138,3 +140,75 @@ def _split_words(rng: np.random.Generator, factors: list[SimpleType]) -> list[Pr
         words.append(PregroupType(tuple(factors[k:k + step])))
         k += step
     return words
+
+
+# Readings of each role sequence, written out independently of the
+# library's table: (pattern, per-span target factors, wiring), with the
+# readings of one role sequence in the order they are listed.
+_ORACLE_READINGS = {
+    ("theme", "rheme"): [("single-rheme", (["theta"], ["rho"]), "merge")],
+    ("rheme", "theme"): [("single-rheme", (["rho"], ["theta"]), "merge")],
+    ("rheme", "theme", "rheme"): [
+        ("double-rheme", (["rho"], ["theta", "theta"], ["rho"]), "two-merges")
+    ],
+    ("theme", "rheme", "theme"): [
+        ("split-theme", (["theta"], ["rho"], ["theta"]), "chained-merge"),
+        ("relational-rheme", (["theta"], ["rho", "rho"], ["theta"]), "two-merges"),
+    ],
+}
+
+
+def _wire(kind: str, values: list[np.ndarray]) -> np.ndarray:
+    """Contract span values with explicit spider tensors (merges)."""
+    d = values[0].shape[0]
+    m3 = spider(2, 1, d)
+    if kind == "merge":  # mu(a (x) b)
+        a, b = values
+        return np.tensordot(np.tensordot(m3, a, axes=(0, 0)), b, axes=(0, 0))
+    if kind == "chained-merge":  # mu(mu(a (x) b) (x) c)
+        a, b, c = values
+        ab = np.tensordot(np.tensordot(m3, a, axes=(0, 0)), b, axes=(0, 0))
+        return np.tensordot(np.tensordot(m3, ab, axes=(0, 0)), c, axes=(0, 0))
+    # one merge per vector / matrix-wire pair
+    a, m, b = values
+    left = np.tensordot(np.tensordot(m3, a, axes=(0, 0)), m, axes=(0, 0))
+    return np.tensordot(left, np.tensordot(m3, b, axes=(1, 0)), axes=(1, 0))
+
+
+def brute_force_analyses(sentence, lexicon) -> list[dict]:
+    """Every derivation of an annotated sentence, in canonical order:
+    readings in table order, then sense choices in product order, then
+    each span's reductions by ascending link list.  Each derivation is a
+    dict with ``pattern``, per-span ``types`` (sense type strings) and
+    ``diagrams`` (1-based JSON), and the ``meaning``."""
+    roles = tuple(span.role for span in sentence.spans)
+    out = []
+    typed = {}
+    for pattern, targets, wiring in _ORACLE_READINGS.get(roles, []):
+        per_span = []
+        for k, (span, target) in enumerate(zip(sentence.spans, targets)):
+            key = (k, tuple(target))
+            if key not in typed:
+                options = []
+                senses = [lexicon[w].senses for w in span.tokens]
+                for combo in itertools.product(*senses):
+                    factors = [f for s in combo for f in s.type]
+                    want = [SimpleType(b) for b in target]
+                    for links, survivors in sorted(brute_force_reductions(factors, want)):
+                        diagram = ReductionDiagram(links, survivors, len(factors))
+                        options.append((
+                            [str(s.type) for s in combo],
+                            {"links": [[i + 1, j + 1] for i, j in links],
+                             "survivors": [s + 1 for s in survivors]},
+                            naive_contract(combo, diagram),
+                        ))
+                typed[key] = options
+            per_span.append(typed[key])
+        for choice in itertools.product(*per_span):
+            out.append({
+                "pattern": pattern,
+                "types": [t for t, _, _ in choice],
+                "diagrams": [j for _, j, _ in choice],
+                "meaning": _wire(wiring, [v for _, _, v in choice]),
+            })
+    return out

@@ -376,6 +376,28 @@ class TestCompare:
         assert (code, err) == (0, "")
         assert out.splitlines()[:2] == ["cosine: 1", "distance: 0"]
 
+    def test_unused_overflowing_reading_is_not_computed(self, run, tmp_path):
+        # only the relational-rheme reading, which compare does not use,
+        # overflows: 1 * 1e300 * 1e10
+        p = tmp_path / "lex.json"
+        p.write_text(json.dumps({"dims": {"n": 2, "s": 2, "theta": 2, "rho": 2}, "entries": [
+            {"word": "a", "type": "theta", "shape": [2], "data": [1, 1]},
+            {"word": "b", "type": "rho", "shape": [2], "data": [1, 1]},
+            {"word": "b", "type": "rho rho", "shape": [2, 2], "data": [1e300] * 4},
+            {"word": "c", "type": "theta", "shape": [2], "data": [1e10, 1e10]},
+        ]}))
+        sentence = "{T a} {R b} {T c}"
+        code, out, err = run("compare", sentence, sentence, "--lexicon", str(p))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "distance: 0", "equal (within 1.0000000000000001e-09): true"
+        ]
+        code, out, err = run("meaning", sentence, "--lexicon", str(p))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the result is not finite in float64 (overflow encountered in einsum)\n"
+        )
+
     def test_text_output(self, run, lexicon_path):
         code, out, _ = run(
             "compare", "Mary likes {R musicals}", "Mary likes {R musicals}",

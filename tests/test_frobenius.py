@@ -41,6 +41,10 @@ class TestGenerators:
         assert iota([1.0, 2.0, 3.0]) == 6.0
         assert iota(np.zeros(5)) == 0.0
 
+    def test_iota_rejects_matrix(self):
+        with pytest.raises(ValueError, match="^iota expects a vector$"):
+            iota(np.ones((2, 2)))
+
     def test_zeta_ones(self):
         assert np.array_equal(zeta(3), np.ones(3))
         with pytest.raises(ValueError):
@@ -107,6 +111,10 @@ class TestSpider:
             spider(-1, 2, 3)
         with pytest.raises(ValueError):
             spider(1, 1, 0)
+
+    def test_symbolic_spider_needs_a_leg(self):
+        with pytest.raises(ValueError, match="^a spider needs at least one leg$"):
+            Spider(0, 0, 3)
 
 
 class TestFuse:

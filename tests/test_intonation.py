@@ -38,7 +38,12 @@ from intonsem.pregroup import (
 )
 from intonsem.tensor import TypedTensor, compose
 
-from _oracles import brute_force_reductions, inverse_reduce_sequence, random_type_sequence
+from _oracles import (
+    brute_force_analyses,
+    brute_force_reductions,
+    inverse_reduce_sequence,
+    random_type_sequence,
+)
 
 
 def _lex(dims, words):
@@ -554,6 +559,30 @@ class TestSplitTheme:
         got = analyses(parse_annotated("{T t1} {R r} {T t2}"), lex)
         assert [a.pattern for a in got] == [PATTERN_SPLIT, PATTERN_RELATIONAL]
 
+    def test_unused_relational_reading_is_never_typed(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        lex = _lex(
+            _uniform_dims(3),
+            {
+                "t1": [("theta", rng.standard_normal(3))],
+                "t2": [("theta", rng.standard_normal(3))],
+                "r": [("rho", rng.standard_normal(3)), ("rho rho", rng.standard_normal((3, 3)))],
+            },
+        )
+        s = parse_annotated("{T t1} {R r} {T t2}")
+        targets = []
+
+        def recording(alternatives, target):
+            targets.append(target)
+            return chart_reductions(alternatives, target)
+
+        monkeypatch.setattr(intonation, "chart_reductions", recording)
+        got = meaning_split_theme(s, lex)
+        assert parse_type("rho rho") not in targets
+        want = analyses(s, lex)[0].meaning
+        assert parse_type("rho rho") in targets
+        assert np.array_equal(got.array, want.array)
+
 
 class TestAmbiguity:
     def test_two_readings_of_one_rheme_span(self):
@@ -597,6 +626,32 @@ class TestAmbiguity:
         assert len(got) == 4
         assert len(calls) == 4
 
+    def test_meaning_composes_only_the_first_derivation(self, monkeypatch):
+        # the lexicon of test_each_span_option_composed_once: of its 4
+        # derivations, meaning() uses the first, one option per span
+        d = 3
+        rng = np.random.default_rng(19)
+        lex = _lex(
+            _uniform_dims(d),
+            {
+                "she": [("theta", rng.standard_normal(d)), ("theta theta.l", np.eye(d))],
+                "sang": [("theta.r theta", np.eye(d)), ("theta", rng.standard_normal(d))],
+                "run": [("rho", rng.standard_normal(d)), ("rho rho.l", np.eye(d))],
+                "fast": [("rho.r rho", np.eye(d)), ("rho", rng.standard_normal(d))],
+            },
+        )
+        s = parse_annotated("{T she sang} {R run fast}")
+        calls = []
+
+        def counting_compose(words, diagram):
+            calls.append(diagram)
+            return compose(words, diagram)
+
+        monkeypatch.setattr(intonation, "compose", counting_compose)
+        got = meaning(s, lex)
+        assert len(calls) == 2
+        assert np.array_equal(got.array, analyses(s, lex)[0].meaning.array)
+
     def test_deterministic_order(self, example_lexicon):
         s = parse_annotated("Mary likes {R musicals}")
         a = [an.meaning.array for an in analyses(s, example_lexicon)]
@@ -604,6 +659,94 @@ class TestAmbiguity:
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+
+# Role sequences of the whole-pipeline oracle test; the last two have no reading.
+_ROLE_SEQUENCES = [
+    (THEME, RHEME), (RHEME, THEME), (RHEME, THEME, RHEME), (RHEME, THEME, RHEME),
+    (THEME, RHEME, THEME), (THEME, RHEME, THEME), (THEME,), (RHEME,),
+]
+
+
+def _random_annotated(rng, distractors):
+    """A random sentence over a fresh lexicon of d <= 3.  Each span is
+    grown to reduce to its role's target (the middle span of a
+    three-span sentence sometimes to the matrix type), or now and then
+    drawn at random.  Its first word gets up to two more senses, the
+    others up to one, each one of the random ``distractors``, the unit
+    type, or (first word only) its type behind one more target factor,
+    which gives theme-rheme-theme both readings."""
+    d = int(rng.integers(1, 4))
+    roles = _ROLE_SEQUENCES[int(rng.integers(len(_ROLE_SEQUENCES)))]
+    senses, spans = {}, []
+    for k, role in enumerate(roles):
+        base = SimpleType("theta" if role == THEME else "rho")
+        wide = len(roles) == 3 and k == 1 and (role == THEME or rng.random() < 0.4)
+        if rng.random() < 0.05:
+            core = random_type_sequence(rng, 4)
+        else:
+            core = inverse_reduce_sequence(rng, [base] * (1 + wide), 5)
+        tokens = []
+        for w, t in enumerate(core):
+            options = [t]
+            for _ in range(int(rng.integers(0, 3 if w == 0 else 2))):
+                pick = rng.random()
+                if pick < 0.25:
+                    options.append(PregroupType(()))
+                elif pick < 0.6 and w == 0:
+                    options.append(PregroupType((base,)) @ t)
+                else:
+                    options.append(distractors[int(rng.integers(len(distractors)))])
+            word = f"w{len(senses)}"
+            senses[word] = list(dict.fromkeys(options))
+            tokens.append(word)
+        spans.append(Span(role, tuple(tokens)))
+    lex = Lexicon(_uniform_dims(d), {
+        w: LexiconEntry(w, tuple(TypedTensor(t, rng.standard_normal((d,) * len(t))) for t in ts))
+        for w, ts in senses.items()
+    })
+    return AnnotatedSentence(tuple(spans)), lex
+
+
+def _derivation_keys(typings_list):
+    return [
+        ([[str(s.type) for s in t.senses] for t in typings],
+         [t.diagram.to_json() for t in typings])
+        for typings in typings_list
+    ]
+
+
+def _close(got, want):
+    scale = max(float(np.max(np.abs(want))), 1.0)
+    return got.shape == want.shape and float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+
+class TestPipelineOracle:
+    def test_random_sentences_match_brute_force_analyses(self):
+        rng = np.random.default_rng(20261018)
+        patterns = [PATTERN_SINGLE, PATTERN_DOUBLE, PATTERN_SPLIT, PATTERN_RELATIONAL]
+        seen = dict.fromkeys([*patterns, None], 0)  # None: infelicitous
+        distractors = [t for _ in range(40) for t in random_type_sequence(rng, 3)]
+        for _ in range(2000):
+            sentence, lex = _random_annotated(rng, distractors)
+            want = brute_force_analyses(sentence, lex)
+            if not want:
+                seen[None] += 1
+                for f in (analyses, type_spans, meaning):
+                    with pytest.raises(InfelicitousStructure):
+                        f(sentence, lex)
+                continue
+            for pattern in {w["pattern"] for w in want}:
+                seen[pattern] += 1
+            got = analyses(sentence, lex)
+            keys = [(w["types"], w["diagrams"]) for w in want]
+            assert [a.pattern for a in got] == [w["pattern"] for w in want]
+            assert _derivation_keys(a.typings for a in got) == keys
+            assert _derivation_keys(type_spans(sentence, lex)) == keys
+            assert all(_close(a.meaning.array, w["meaning"]) for a, w in zip(got, want))
+            first = meaning(sentence, lex)
+            assert first.pattern == want[0]["pattern"] and _close(first.array, want[0]["meaning"])
+        assert min(seen.values()) >= 200, seen
 
 
 class TestCopyExpand:

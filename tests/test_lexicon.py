@@ -247,6 +247,21 @@ class TestLoadErrors:
         with pytest.raises(LexiconError, match="non-numeric"):
             load_lexicon(p)
 
+    def test_sidecar_skips_blank_lines(self, tmp_path, write_lexicon):
+        (tmp_path / "v.tsv").write_text("\nx\t1 0\n   \n\t\ny\t0 1\n\n")
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [
+                    {"word": "x", "type": "n", "data_ref": "v.tsv"},
+                    {"word": "y", "type": "n", "data_ref": "v.tsv"},
+                ],
+            }
+        )
+        lex = load_lexicon(p)
+        assert np.array_equal(lex["x"].sense(parse_type("n")).array, [1.0, 0.0])
+        assert np.array_equal(lex["y"].sense(parse_type("n")).array, [0.0, 1.0])
+
     def test_sidecar_resolved_relative_to_lexicon(self, tmp_path):
         sub = tmp_path / "sub"
         sub.mkdir()
@@ -298,6 +313,15 @@ class TestEntryAndLexiconInvariants:
         e = _entry("x", ("q", np.zeros(2)))
         with pytest.raises(LexiconError, match="^no space assigned to base 'q'$"):
             Lexicon(DIMS, {"x": e})
+
+    def test_entry_filed_under_another_word(self):
+        e = _entry("b", ("n", np.zeros(4)))
+        with pytest.raises(LexiconError, match="^entry for 'b' filed under 'a'$"):
+            Lexicon(DIMS, {"a": e})
+
+    def test_iteration_yields_words_in_insertion_order(self):
+        entries = {w: _entry(w, ("n", np.zeros(4))) for w in ("cat", "ann", "bob")}
+        assert list(Lexicon(DIMS, entries)) == ["cat", "ann", "bob"]
 
     def test_lexicon_requires_intonation_bases(self):
         with pytest.raises(LexiconError, match="rho"):

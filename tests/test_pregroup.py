@@ -111,6 +111,10 @@ class TestTypeAlgebra:
         assert p[0] == SimpleType("n", 1)
         assert p[1:] == parse_type("s n.l")
 
+    def test_factors_must_be_simple_types(self):
+        with pytest.raises(TypeError, match="^factors must be SimpleType instances$"):
+            PregroupType(("n",))
+
 
 class TestReductionDiagram:
     def test_partition_enforced(self):
@@ -142,6 +146,11 @@ class TestReductionDiagram:
         bad = ReductionDiagram(((0, 2),), (1,), 3)
         with pytest.raises(ValueError):
             bad.replay(factors)
+
+    def test_replay_rejects_wrong_length(self):
+        d = ReductionDiagram(((0, 1),), (2,), 3)
+        with pytest.raises(ValueError, match="^diagram size does not match the factor sequence$"):
+            d.replay(list(parse_type("n n.r")))
 
 
 class TestReduce:
