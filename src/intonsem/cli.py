@@ -4,8 +4,9 @@ Output is deterministic: floats are printed with 17 significant digits
 (enough to round-trip float64 bit-exactly), JSON key order is fixed, and
 no timestamps or environment data appear.  Exit codes: 0 success, 1
 semantic or structural failure (no reduction, infelicitous structure,
-cross-order comparison, float64 overflow), 2 input error (bad arguments
-or syntax, unknown word or individual, unreadable or malformed file).
+cross-order comparison, float64 overflow, a contraction past numpy's
+limit on array axes), 2 input error (bad arguments or syntax, unknown
+word or individual, unreadable or malformed file).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .intonation import (
 )
 from .lexicon import LexiconError, _unit_scaled, cosine, load_lexicon
 from .pregroup import TypeSyntaxError, atom, chart_reductions, flatten, parse_type
-from .tensor import TypedTensor, compose, epsilon_contract, eta, tensor_to_json
+from .tensor import ContractionError, TypedTensor, compose, epsilon_contract, eta, tensor_to_json
 from .truth import (
     UniverseError,
     UnknownIndividualError,
@@ -372,6 +373,8 @@ def main(argv=None) -> int:
         failure = _Failure(2, str(exc))
     except InfelicitousStructure as exc:
         failure = _Failure(1, f"infelicitous structure: {exc}")
+    except ContractionError as exc:
+        failure = _Failure(1, str(exc))
     except FloatingPointError as exc:
         failure = _Failure(1, f"the result is not finite in float64 ({exc})")
     print(f"error: {failure}", file=sys.stderr)

@@ -198,8 +198,8 @@ def _derivations(
     it, each (span, target) by one ``chart_reductions`` call; sense
     combinations follow lexicon order, and each combination's reductions
     the canonical reduction order.  Raises InfelicitousStructure only if
-    the stream ends without a derivation.  ``type_spans`` and
-    ``_analyses`` read it, and nothing else enumerates derivations."""
+    the stream ends without a derivation.  Nothing else enumerates
+    derivations."""
     roles = sentence.roles
     if roles not in _PATTERNS:
         raise InfelicitousStructure(
@@ -250,12 +250,10 @@ def type_spans(
     return [typings for _, _, typings in _derivations(sentence, lexicon)]
 
 
-def _analyses(sentence: AnnotatedSentence, lexicon: Lexicon) -> Iterator[Analysis]:
-    lexicon.shared_dim()
-    for pattern, spec, typings in _derivations(sentence, lexicon):
-        values = tuple(t.value for t in typings)
-        arr = np.einsum(spec, *(v.array for v in values))
-        yield Analysis(pattern, typings, values, SentenceMeaning(arr, pattern))
+def _analysis(pattern: str, spec: str, typings: tuple[SpanTyping, ...]) -> Analysis:
+    values = tuple(t.value for t in typings)
+    arr = np.einsum(spec, *(v.array for v in values))
+    return Analysis(pattern, typings, values, SentenceMeaning(arr, pattern))
 
 
 def analyses(sentence: AnnotatedSentence, lexicon: Lexicon) -> list[Analysis]:
@@ -270,7 +268,8 @@ def analyses(sentence: AnnotatedSentence, lexicon: Lexicon) -> list[Analysis]:
     and reductions follow the canonical reduction order.  Each span
     option is composed once, however many derivations share it.
     """
-    return list(_analyses(sentence, lexicon))
+    lexicon.shared_dim()
+    return [_analysis(*d) for d in _derivations(sentence, lexicon)]
 
 
 def meaning(sentence: AnnotatedSentence, lexicon: Lexicon) -> SentenceMeaning:
@@ -280,7 +279,8 @@ def meaning(sentence: AnnotatedSentence, lexicon: Lexicon) -> SentenceMeaning:
     the two span vectors; the three-span patterns contract their span
     values by the einsum of their spider normal form.
     """
-    return next(_analyses(sentence, lexicon)).meaning
+    lexicon.shared_dim()
+    return _analysis(*next(_derivations(sentence, lexicon))).meaning
 
 
 def _pattern_meaning(
@@ -294,9 +294,10 @@ def _pattern_meaning(
         raise InfelicitousStructure(
             f"expected a {'-'.join(roles)} sentence, got {'-'.join(sentence.roles)}"
         )
-    for a in _analyses(sentence, lexicon):
-        if a.pattern == pattern:
-            return a.meaning
+    lexicon.shared_dim()
+    for found, spec, typings in _derivations(sentence, lexicon):
+        if found == pattern:  # values are computed for this derivation alone
+            return _analysis(found, spec, typings).meaning
     raise InfelicitousStructure(
         f"no derivation of {sentence} realizes the {pattern} pattern"
     )

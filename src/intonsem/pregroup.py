@@ -251,11 +251,11 @@ class _Chart:
     partner, the factors between them cancel, and so does the rest.
     ``partners[e]`` lists the edges that edge e can link to over a
     cancelling inside.  Filling the chart takes O(n^3) steps for n
-    factors.
+    factors; :meth:`reductions` then reads each unit path off it in one
+    left-to-right pass from an explicit stack, with no recursion limit.
     """
 
     def __init__(self, alternatives: Sequence[Sequence[PregroupType]]):
-        self.sizes = [[len(t.factors) for t in senses] for senses in alternatives]
         self.bounds = [0]
         self.out: list[list[int]] = [[]]
         # per edge: (source gap, word, sense, position in the sense, factor)
@@ -316,56 +316,43 @@ class _Chart:
                     reach |= unit[dst[e2]]
             unit[a] = reach
 
-    def walk(self, a: int, b: int) -> Iterator[tuple]:
-        """Every path from gap a to gap b that cancels to the unit, as a
-        tuple of links (edge pairs) and empty-sense edges.  Only cells
-        that lead to a reduction are entered."""
-        if a == b:
-            yield ()
-            return
-        dst, unit = self.dst, self.unit
-        for e in self.out[a]:
-            t = dst[e]
-            if self.key[e] is None:
-                if unit[t] >> b & 1:
-                    for rest in self.walk(t, b):
-                        yield (e,) + rest
+    def reductions(self) -> Iterator[tuple[tuple[int, ...], ReductionDiagram]]:
+        """Each unit path from gap 0 to ``end`` as (sense choice, diagram).
+        The last word is a target's right adjoint: factors linked into it
+        are the survivors.  Only states that lead to a reduction are
+        pushed, in reverse, so paths come out in edge-choice order."""
+        out, dst, edges, unit, partners = self.out, self.dst, self.edges, self.unit, self.partners
+        last = len(self.bounds) - 2
+        # An entry: the gap reached; the pending link ends, a linked list of
+        # (left position or None for a survivor, right edge, rest) that the
+        # path cancels up to; the senses, flat position, links, survivors.
+        stack = [(0, None, (), 0, (), ())]
+        while stack:
+            g, ends, senses, position, links, survivors = stack.pop()
+            while ends is not None and g == edges[ends[1]][0]:
+                left, e2, ends = ends
+                g = dst[e2]
+                if left is not None:
+                    links += ((left, position),)
+                    position += 1
+                    if edges[e2][3] == 0:  # the partner starts its word
+                        senses += (edges[e2][2],)
+            b = self.end if ends is None else edges[ends[1]][0]
+            if g == b:
+                yield senses, ReductionDiagram(tuple(sorted(links)), survivors, position)
                 continue
-            for e2 in self.partners[e]:
-                if unit[dst[e2]] >> b & 1:
-                    for inside in self.walk(t, self.edges[e2][0]):
-                        for rest in self.walk(dst[e2], b):
-                            yield ((e, e2),) + inside + rest
-
-    def diagram(self, items: tuple) -> tuple[tuple[int, ...], ReductionDiagram]:
-        """The sense choice and flat diagram of one unit path whose last
-        word is a target's right adjoint: links into that word mark the
-        survivors."""
-        edges, last = self.edges, len(self.bounds) - 2
-        senses = [0] * last
-        links, survivors = [], []
-        for item in items:
-            if isinstance(item, int):  # an empty sense, or the unit target
-                if edges[item][1] < last:
-                    senses[edges[item][1]] = edges[item][2]
-                continue
-            i, j = item
-            senses[edges[i][1]] = edges[i][2]
-            if edges[j][1] == last:
-                survivors.append(i)
-            else:
-                senses[edges[j][1]] = edges[j][2]
-                links.append(item)
-        offset = [0]
-        for w, s in enumerate(senses):
-            offset.append(offset[-1] + self.sizes[w][s])
-
-        def flat(e: int) -> int:
-            return offset[edges[e][1]] + edges[e][3]
-
-        pairs = sorted((flat(i), flat(j)) for i, j in links)
-        survived = tuple(sorted(map(flat, survivors)))
-        return tuple(senses), ReductionDiagram(tuple(pairs), survived, offset[-1])
+            for e in reversed(out[g]):
+                _, w, s, f, x = edges[e]
+                chosen = senses if f or w == last else senses + (s,)
+                if x is None:  # an empty sense, or the unit target
+                    if unit[dst[e]] >> b & 1:
+                        stack.append((dst[e], ends, chosen, position, links, survivors))
+                    continue
+                for e2 in reversed(partners[e]):
+                    if unit[dst[e2]] >> b & 1:
+                        survivor = edges[e2][1] == last
+                        stack.append((dst[e], (None if survivor else position, e2, ends), chosen,
+                                      position + 1, links, survivors + (position,) * survivor))
 
 
 def _check(words: Sequence, target: PregroupType) -> None:
@@ -384,8 +371,10 @@ def chart_reductions(
     choice holds one index into each list, and the diagram is over the
     flattened factors of the chosen types.  The result is in canonical
     order: sense choices in ``itertools.product`` order, then diagrams
-    by their ascending link lists.  The enumeration only walks chart
-    cells that lead to a reduction, so its cost grows with the output.
+    by their ascending link lists.  The enumeration is one iterative
+    pass over the chart cells that lead to a reduction, so its cost
+    grows with the output; it yields each sense choice's diagrams in
+    canonical order already, and the sort orders the sense choices.
     Span typing (``intonation._derivations``), ``intonsem reduce`` in
     both input modes, and :func:`reduce` all enumerate through here.
 
@@ -396,10 +385,7 @@ def chart_reductions(
     _check(alternatives, target)
     # The word factors linked into the appended t.r are the survivors.
     chart = _Chart([*alternatives, [target.r]])
-    if not chart.unit[0] >> chart.end & 1:
-        return []
-    found = [chart.diagram(items) for items in chart.walk(0, chart.end)]
-    return sorted(found, key=lambda r: (r[0], r[1].links))
+    return sorted(chart.reductions(), key=lambda r: (r[0], r[1].links))
 
 
 def closest_residual(alternatives: Sequence[Sequence[PregroupType]]) -> PregroupType:

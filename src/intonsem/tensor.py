@@ -20,7 +20,8 @@ from .pregroup import PregroupType, ReductionDiagram, cancels, flatten
 
 
 class ContractionError(ValueError):
-    """Shape/type mismatch while contracting tensors."""
+    """Shape/type mismatch while contracting tensors, or a merged part
+    past numpy's limit on array axes."""
 
 
 class UnknownBaseError(ValueError):
@@ -151,7 +152,10 @@ def compose(
             arr = np.trace(arr, axis1=ids.index(i), axis2=ids.index(j))
         else:
             arr_j, ids_j = parts.pop(owner[j])
-            arr = np.tensordot(arr, arr_j, axes=(ids.index(i), ids_j.index(j)))
+            try:
+                arr = np.tensordot(arr, arr_j, axes=(ids.index(i), ids_j.index(j)))
+            except ValueError as exc:  # the merged part outgrows numpy's axis limit
+                raise ContractionError(f"cannot contract link ({i + 1}, {j + 1}): {exc}") from exc
             for k in ids_j:
                 owner[k] = owner[i]
             ids = ids + ids_j

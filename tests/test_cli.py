@@ -124,6 +124,22 @@ class TestReduce:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "plain factors" in err
 
+    @pytest.mark.parametrize("family", ["chain", "nested"])
+    def test_deep_input_has_its_one_reduction(self, run, family):
+        # 2,405 and 2,401 factors, each with exactly one reduction to s
+        k = 1200
+        if family == "chain":
+            text = "n n.r s n.l n" + " n.r n" * k
+            links = [[1, 2], [4, 2 * k + 5]] + [[i, i + 1] for i in range(5, 2 * k + 5, 2)]
+            survivors = [3]
+        else:
+            text = "s" + " n.l" * k + " n" * k
+            links = [[k + 2 - i, k + 1 + i] for i in range(k, 0, -1)]
+            survivors = [1]
+        code, out, err = run("reduce", text, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["reductions"] == [{"links": links, "survivors": survivors}]
+
     def test_empty_input(self, run):
         code, _, err = run("reduce", "   ")
         assert code == 2
@@ -319,6 +335,47 @@ class TestMeaning:
         b = run("meaning", "{R John} likes {R Mary}", "--lexicon", lexicon_path,
                 "--format", "json")
         assert a == b
+
+
+class TestDeepMeaning:
+    def test_nested_theme_of_2401_words(self, run, write_lexicon):
+        # theta n.l | n.l x 1199 | n x 1200: 1,200 nested links, d = 1
+        lex = write_lexicon({
+            "dims": {"n": 1, "s": 1, "theta": 1, "rho": 1},
+            "entries": [
+                {"word": "t", "type": "theta n.l", "shape": [1, 1], "data": [2]},
+                {"word": "l", "type": "n.l", "shape": [1], "data": [-1]},
+                {"word": "m", "type": "n", "shape": [1], "data": [1]},
+                {"word": "r", "type": "rho", "shape": [1], "data": [3]},
+            ],
+        })
+        theme = " ".join(["t"] + ["l"] * 1199 + ["m"] * 1200)
+        code, out, err = run(
+            "meaning", "{T %s} {R r}" % theme, "--lexicon", str(lex), "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        (a,) = json.loads(out)["analyses"]
+        assert a["meaning"] == {"shape": [1], "data": [-6]}  # 2 * (-1)^1199 * 3
+
+
+class TestContractionLimit:
+    @pytest.mark.parametrize("command", ["meaning", "compare"])
+    def test_part_past_numpy_axis_limit_exits_one(self, run, write_lexicon, command):
+        # A and B merge over one link into a 79-axis part
+        lex = write_lexicon({
+            "dims": {"n": 1, "s": 1, "theta": 1, "rho": 1},
+            "entries": [
+                {"word": "A", "type": "theta" + " n.l" * 40, "shape": [1] * 41, "data": [2]},
+                {"word": "B", "type": " ".join(["n"] * 40), "shape": [1] * 40, "data": [3]},
+                {"word": "r", "type": "rho", "shape": [1], "data": [1]},
+            ],
+        })
+        sentence = "{T A B} {R r}"
+        argv = [command, sentence] + [sentence] * (command == "compare")
+        code, out, err = run(*argv, "--lexicon", str(lex))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot contract link (2, 81): ")
+        assert err.count("\n") == 1
 
 
 class TestCompare:

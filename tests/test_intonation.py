@@ -36,7 +36,7 @@ from intonsem.pregroup import (
     parse_type,
     reduce,
 )
-from intonsem.tensor import TypedTensor, compose
+from intonsem.tensor import ContractionError, TypedTensor, compose
 
 from _oracles import (
     brute_force_analyses,
@@ -398,6 +398,17 @@ class TestDoubleRheme:
         m = example_lexicon["likes"].sense(parse_type("theta theta")).array
         assert np.array_equal(got.array, np.outer(r1, r2) * m)
 
+    def test_composes_the_three_span_values(self, example_lexicon, monkeypatch):
+        calls = []
+
+        def counting_compose(words, diagram):
+            calls.append(diagram)
+            return compose(words, diagram)
+
+        monkeypatch.setattr(intonation, "compose", counting_compose)
+        meaning_multiple_rhemes(parse_annotated("{R John} likes {R Mary}"), example_lexicon)
+        assert len(calls) == 3
+
     def test_basis_vectors_pick_out_one_entry(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         lex = _lex(
@@ -541,6 +552,22 @@ class TestSplitTheme:
         with pytest.raises(InfelicitousStructure, match="split-theme"):
             meaning_split_theme(s, example_lexicon)
 
+    def test_missing_split_reading_composes_nothing(self, example_lexicon, monkeypatch):
+        # the relational reading exists, but the split-theme wrapper never
+        # computes a derivation it does not return
+        s = parse_annotated("{T John} {R likes} {T Mary}")
+        calls = []
+
+        def counting_compose(words, diagram):
+            calls.append(diagram)
+            return compose(words, diagram)
+
+        monkeypatch.setattr(intonation, "compose", counting_compose)
+        with pytest.raises(InfelicitousStructure) as exc:
+            meaning_split_theme(s, example_lexicon)
+        assert str(exc.value) == f"no derivation of {s} realizes the split-theme pattern"
+        assert calls == []
+
     def test_split_listed_before_relational(self):
         # a middle word with both a vector and a matrix rheme sense yields
         # both readings, split-theme first
@@ -582,6 +609,22 @@ class TestSplitTheme:
         want = analyses(s, lex)[0].meaning
         assert parse_type("rho rho") in targets
         assert np.array_equal(got.array, want.array)
+
+
+class TestContractionLimit:
+    def test_part_past_numpy_axis_limit_raises_contraction_error(self):
+        # A and B merge over one link into a 79-axis part, past numpy's
+        # axis limit (64 in numpy 2, 32 in numpy 1)
+        lex = _lex(
+            _uniform_dims(1),
+            {
+                "A": [("theta" + " n.l" * 40, np.full((1,) * 41, 2.0))],
+                "B": [(" ".join(["n"] * 40), np.full((1,) * 40, 3.0))],
+                "r": [("rho", np.ones(1))],
+            },
+        )
+        with pytest.raises(ContractionError, match=r"cannot contract link \(2, 81\)"):
+            analyses(parse_annotated("{T A B} {R r}"), lex)
 
 
 class TestAmbiguity:

@@ -5,6 +5,7 @@ import pytest
 
 from intonsem.pregroup import (
     PregroupType,
+    _Chart,
     ReductionDiagram,
     SimpleType,
     TypeSyntaxError,
@@ -289,6 +290,59 @@ class TestChart:
         (d,) = reduce([chain], atom("s"))
         assert d.survivors == (2,)
         assert d.replay(list(chain)) == [SimpleType("s")]
+
+
+def _chain(k):
+    """``n n.r s n.l n (n.r n)^k`` and its one reduction to s (0-based)."""
+    links = [(0, 1), (3, 2 * k + 4)] + [(i, i + 1) for i in range(4, 2 * k + 4, 2)]
+    return parse_type("n n.r s n.l n" + " n.r n" * k), links, (2,)
+
+
+def _nested(k):
+    """``s n.l^k n^k`` and its one reduction to s (0-based)."""
+    links = [(k + 1 - i, k + i) for i in range(k, 0, -1)]
+    return parse_type("s" + " n.l" * k + " n" * k), links, (0,)
+
+
+class TestDeepInputs:
+    # 2,405 and 2,401 factors: a recursive enumerator needs one frame per
+    # nesting level or chained link and overflows Python's stack
+    @pytest.mark.parametrize("family", [_chain, _nested])
+    def test_reduce_one_factor_per_word(self, family):
+        t, links, survivors = family(1200)
+        (d,) = reduce([PregroupType((f,)) for f in t], atom("s"))
+        assert d.links == tuple(links)
+        assert d.survivors == survivors
+
+
+class TestEnumerationOrder:
+    """Within one sense choice the chart yields reductions in canonical
+    order; only the sense choices need sorting."""
+
+    @staticmethod
+    def _assert_canonical_per_choice(words, target):
+        by_choice = {}
+        for choice, d in _Chart([*words, [target.r]]).reductions():
+            by_choice.setdefault(choice, []).append(d.links)
+        for found in by_choice.values():
+            assert found == sorted(found)
+            assert len(set(found)) == len(found)
+        return sum(map(len, by_choice.values()))
+
+    def test_random_alternatives(self):
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            words = _random_alternatives(rng)
+            for target in (atom("s"), PregroupType(()), parse_type("s n"), atom("n")):
+                self._assert_canonical_per_choice(words, target)
+
+    def test_many_reductions_per_sense_choice(self):
+        family = parse_type("n n.l " * 6 + "n n.r " * 7 + "s")
+        assert self._assert_canonical_per_choice([[family]], atom("s")) == 924
+        # 450 sense choices, 223 of them with more than one reduction
+        n, unit = atom("n"), PregroupType(())
+        words = [[n @ n.l, n, unit]] * 4 + [[n @ n.r, n.r]] * 5 + [[atom("s")]]
+        assert self._assert_canonical_per_choice(words, atom("s")) == 1471
 
 
 class TestClosestResidual:
