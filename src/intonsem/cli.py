@@ -6,7 +6,8 @@ no timestamps or environment data appear.  Exit codes: 0 success, 1
 semantic or structural failure (no reduction, infelicitous structure,
 cross-order comparison, float64 overflow, a contraction past numpy's
 limit on array axes), 2 input error (bad arguments or syntax, unknown
-word or individual, unreadable or malformed file).
+word or individual, unreadable or malformed file).  Commands return their
+answer; ``main`` is the only writer of stdout and stderr.
 """
 
 from __future__ import annotations
@@ -80,26 +81,23 @@ def _vec_text(tensor: dict) -> str:
     return "[" + ", ".join(map(_fmt_float, tensor["data"])) + "]"
 
 
-def _emit_dot(factors, diagram) -> str:
-    lines = [
-        "graph reduction {",
-        "  rankdir=LR;",
-        '  node [shape=plaintext, fontname="monospace"];',
-    ]
+def _emit_dot(factors, diagram):
+    yield "graph reduction {"
+    yield "  rankdir=LR;"
+    yield '  node [shape=plaintext, fontname="monospace"];'
     for k, f in enumerate(factors):
-        lines.append(f'  f{k + 1} [label="{f}"];')
+        yield f'  f{k + 1} [label="{f}"];'
     chain = " -- ".join(f"f{k + 1}" for k in range(len(factors)))
     if len(factors) > 1:
-        lines.append(f"  {chain} [style=invis];")
+        yield f"  {chain} [style=invis];"
     for i, j in diagram.links:
-        lines.append(f"  f{i + 1} -- f{j + 1} [constraint=false];")
+        yield f"  f{i + 1} -- f{j + 1} [constraint=false];"
     for k in diagram.survivors:
-        lines.append(f'  f{k + 1} [shape=ellipse, label="{factors[k]}"];')
-    lines.append("}")
-    return "\n".join(lines)
+        yield f'  f{k + 1} [shape=ellipse, label="{factors[k]}"];'
+    yield "}"
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     target = parse_type(args.target)
     if any(f.z != 0 for f in target):
         raise _Failure(2, f"--target must consist of plain factors, got '{target}'")
@@ -120,8 +118,7 @@ def cmd_reduce(args) -> int:
         if not found:
             raise _Failure(1, "no reduction to draw")
         choice, diagram = found[0]
-        print(_emit_dot(flatten(chosen(choice)), diagram))
-        return 0
+        return 0, None, _emit_dot(flatten(chosen(choice)), diagram)
 
     out = {
         "input": args.input,
@@ -133,33 +130,31 @@ def cmd_reduce(args) -> int:
             for choice, diagram in found
         ],
     }
-    if args.format == "json":
-        print(_stable_json(out))
-    else:
+
+    def text():
         if not args.lexicon:
-            print(f"factors: {alternatives[0][0]}")
+            yield f"factors: {alternatives[0][0]}"
         if not out["grammatical"]:
-            print(f"no reduction to '{target}'")
+            yield f"no reduction to '{target}'"
         for k, item in enumerate(out["reductions"], start=1):
             types = "types " + " | ".join(item["word_types"]) + "; " if args.lexicon else ""
             links = " ".join(f"({i},{j})" for i, j in item["links"]) or "(none)"
             survivors = " ".join(map(str, item["survivors"])) or "(none)"
-            print(f"reduction {k}: {types}links {links}; survivors {survivors}")
-    return 0 if out["grammatical"] else 1
+            yield f"reduction {k}: {types}links {links}; survivors {survivors}"
+    return (0 if out["grammatical"] else 1), out, text()
 
 
 def _analysis_json(a: intonation.Analysis) -> dict:
-    spans = []
-    for typing, value in zip(a.typings, a.values):
-        spans.append(
-            {
-                "role": typing.span.role,
-                "tokens": list(typing.span.tokens),
-                "type": str(typing.target),
-                "reduction": typing.diagram.to_json(),
-                "value": tensor_to_json(value.array),
-            }
-        )
+    spans = [
+        {
+            "role": typing.span.role,
+            "tokens": list(typing.span.tokens),
+            "type": str(typing.target),
+            "reduction": typing.diagram.to_json(),
+            "value": tensor_to_json(value.array),
+        }
+        for typing, value in zip(a.typings, a.values)
+    ]
     return {
         "pattern": a.pattern,
         "meaning": tensor_to_json(_finite(a.meaning).array),
@@ -174,28 +169,26 @@ def _finite(m: intonation.SentenceMeaning) -> intonation.SentenceMeaning:
     return m
 
 
-def cmd_meaning(args) -> int:
+def cmd_meaning(args):
     lex = load_lexicon(args.lexicon)
     sentence = parse_annotated(args.sentence)
     out = {
         "sentence": str(sentence),
         "analyses": [_analysis_json(a) for a in analyses(sentence, lex)],
     }
-    if args.format == "json":
-        print(_stable_json(out))
-    else:
-        print(out["sentence"])
+
+    def text():
+        yield out["sentence"]
         for k, a in enumerate(out["analyses"], start=1):
-            print(f"analysis {k}: pattern {a['pattern']}")
+            yield f"analysis {k}: pattern {a['pattern']}"
             for span in a["spans"]:
                 words = " ".join(span["tokens"])
-                print(f"  {span['role']} '{words}' -> {span['type']}: " + _vec_text(span["value"]))
-            order = len(a["meaning"]["shape"])
-            print(f"  meaning (order {order}): " + _vec_text(a["meaning"]))
-    return 0
+                yield f"  {span['role']} '{words}' -> {span['type']}: " + _vec_text(span["value"])
+            yield f"  meaning (order {len(a['meaning']['shape'])}): " + _vec_text(a["meaning"])
+    return 0, out, text()
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args):
     if not args.tolerance >= 0:  # also catches NaN
         raise _Failure(2, f"--tolerance must be a non-negative number, got {args.tolerance}")
     lex = load_lexicon(args.lexicon)
@@ -215,19 +208,18 @@ def cmd_compare(args) -> int:
     diff, e = _unit_scaled(va - vb)
     dist = float(np.ldexp(np.linalg.norm(diff), e))
     equal = dist <= args.tolerance
-    if args.format == "json":
-        print(_stable_json({"cosine": c, "distance": dist, "equal": equal}))
-    else:
-        print(f"cosine: {_fmt_float(c)}")
-        print(f"distance: {_fmt_float(dist)}")
-        print(f"equal (within {_fmt_float(args.tolerance)}): {str(equal).lower()}")
-    return 0
+
+    def text():
+        yield f"cosine: {_fmt_float(c)}"
+        yield f"distance: {_fmt_float(dist)}"
+        yield f"equal (within {_fmt_float(args.tolerance)}): {str(equal).lower()}"
+    return 0, {"cosine": c, "distance": dist, "equal": equal}, text()
 
 
 _BOUNDARY_TOKENS = {">", "<", "⊳", "⊲"}
 
 
-def cmd_truth(args) -> int:
+def cmd_truth(args):
     universe, relations = load_universe(args.universe)
     tokens = [t for t in args.query.split() if t not in _BOUNDARY_TOKENS]
     if len(tokens) != 3:
@@ -250,14 +242,13 @@ def cmd_truth(args) -> int:
         "intersection": names,
         "membership": len(names),  # the intersection is the rheme alone or empty
     }
-    if args.format == "json":
-        print(_stable_json(out))
-    else:
-        print(f"theme({out['subject']} {out['relation']}) = " + _vec_text(out["theme_vector"]))
+
+    def text():
+        yield f"theme({out['subject']} {out['relation']}) = " + _vec_text(out["theme_vector"])
         shown = "{" + ", ".join(out["intersection"]) + "}" if out["intersection"] else "∅"
-        print(f"intersection: {shown}")
-        print(f"membership: {out['membership']}")
-    return 0
+        yield f"intersection: {shown}"
+        yield f"membership: {out['membership']}"
+    return 0, out, text()
 
 
 def _selfchecks():
@@ -307,12 +298,10 @@ def _selfchecks():
         yield name, all([check(d) for d in dims])
 
 
-def cmd_selfcheck(args) -> int:
-    failed = False
-    for name, ok in _selfchecks():
-        print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        failed = failed or not ok
-    return 1 if failed else 0
+def cmd_selfcheck(args):
+    verdicts = dict(_selfchecks())
+    text = (f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in verdicts.items())
+    return (0 if all(verdicts.values()) else 1), None, text
 
 
 @functools.cache  # parsing does not change the parser, so main reuses it
@@ -364,7 +353,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         with np.errstate(over="raise", invalid="raise"):
-            return args.func(args)
+            code, document, lines = args.func(args)
+        json_out = document is not None and args.format == "json"
+        print(_stable_json(document) if json_out else "\n".join(lines))
+        return code
     except _Failure as exc:
         failure = exc
     except (

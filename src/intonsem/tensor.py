@@ -163,7 +163,10 @@ def compose(
 
     out, ids = np.asarray(1.0), []
     for arr, part_ids in parts.values():
-        out = np.multiply.outer(out, arr)
+        try:
+            out = np.multiply.outer(out, arr)
+        except ValueError as exc:  # the product outgrows numpy's axis limit
+            raise ContractionError(f"cannot fold the unlinked parts: {exc}") from exc
         ids += part_ids
     out = out.transpose(sorted(range(len(ids)), key=ids.__getitem__))  # argsort
     return TypedTensor(PregroupType(tuple(factors[k] for k in diagram.survivors)), out)

@@ -6,7 +6,7 @@ import pytest
 from intonsem import cli
 from intonsem.cli import main
 from intonsem.intonation import meaning, parse_annotated
-from intonsem.tensor import tensor_from_json
+from intonsem.tensor import ContractionError, tensor_from_json
 
 
 @pytest.fixture()
@@ -708,6 +708,15 @@ class TestSelfcheck:
         assert len(verdicts) == 6
         assert {p for p, v in verdicts.items() if v != "PASS"} == {failing}
         assert verdicts[failing] == "FAIL"
+
+    def test_a_raising_property_prints_nothing_on_stdout(self, run, monkeypatch):
+        # fuse is the fourth property: three verdicts are known before it raises
+        def broken(a, b, wires=1):
+            raise ContractionError("fuse broke")
+
+        monkeypatch.setattr(cli, "fuse", broken)
+        code, out, err = run("selfcheck")
+        assert (code, out, err) == (1, "", "error: fuse broke\n")
 
     def test_tolerance_is_not_an_option(self, run):
         code, out, err = run("selfcheck", "--tolerance", "nan")

@@ -1,6 +1,7 @@
-"""The README's python quickstart runs, and prints what the README says;
-every command-line option is named in its subcommand's section, and
-every ``selfcheck`` property in that command's section.
+"""The README's python quickstart and command-line examples run, and print
+what the README says; every command-line option is named in its
+subcommand's section, and every ``selfcheck`` property in that command's
+section.
 
 A documented output line is a ``# …`` comment at the end of a ``print``
 line, or a run of comment lines directly below one.
@@ -10,6 +11,7 @@ import argparse
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 from intonsem import cli
@@ -52,10 +54,47 @@ def test_quickstart_prints_what_the_readme_documents(monkeypatch):
         assert any(got.strip() == line for got in printed), f"README documents {line!r}"
 
 
-def _command_sections() -> dict[str, str]:
+def _command_line() -> str:
     readme = (ROOT / "README.md").read_text()
-    part = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    return {c.split("\n", 1)[0].strip(): c for c in part.split("\n### ")[1:]}
+    return readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def _command_sections() -> dict[str, str]:
+    return {c.split("\n", 1)[0].strip(): c for c in _command_line().split("\n### ")[1:]}
+
+
+def _cli_examples() -> list[tuple[str, list[str]]]:
+    """Each ``intonsem`` command of a ``sh`` block and the output lines it
+    documents: the ``# …`` comment lines below it and, for a command that
+    passes ``--format json``, a ``json`` block right after its ``sh`` block."""
+    examples = []
+    blocks = list(re.finditer(r"```(\w+)\n(.*?)```", _command_line(), re.S))
+    for block, following in zip(blocks, blocks[1:] + [None]):
+        if block.group(1) != "sh":
+            continue
+        for line in block.group(2).replace("\\\n", " ").splitlines():
+            if line.startswith("intonsem "):
+                examples.append((line, []))
+            elif line.startswith("# "):
+                examples[-1][1].append(line[2:])
+        adjacent = following and not block.string[block.end():following.start()].strip()
+        if adjacent and following.group(1) == "json" and "--format json" in examples[-1][0]:
+            examples[-1][1].extend(following.group(2).splitlines())
+    return examples
+
+
+def test_command_line_examples_print_what_the_readme_documents(monkeypatch, capsys):
+    examples = _cli_examples()
+    assert len(examples) >= 8  # reduce, four meanings, compare, truth and selfcheck
+    monkeypatch.chdir(ROOT)  # the examples name data files by relative paths
+    for command, expected in examples:
+        code = cli.main(shlex.split(command)[1:])
+        printed = iter(capsys.readouterr().out.splitlines())
+        assert code == 0, command
+        for line in expected:
+            # in order; "..." in a documented line stands for anything
+            pattern = re.compile(re.escape(line).replace(r"\.\.\.", ".*"))
+            assert any(pattern.fullmatch(got) for got in printed), f"{command}: {line!r}"
 
 
 def test_every_cli_option_is_documented():

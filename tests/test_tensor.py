@@ -229,6 +229,13 @@ class TestCompose:
         assert out.type == t
         assert out.array.shape == (1,) * 60 and out.array.item() == 3.0
 
+    def test_fold_past_numpy_axis_limit_raises_contraction_error(self):
+        # two unlinked 40-axis words fold into 80 axes, past numpy's axis
+        # limit (64 in numpy 2, 32 in numpy 1)
+        w = TypedTensor(PregroupType(atom("n").factors * 40), np.ones((1,) * 40))
+        with pytest.raises(ContractionError, match="cannot fold the unlinked parts"):
+            compose([w, w], ReductionDiagram((), tuple(range(80)), 80))
+
     def test_matches_naive_oracle_on_random_reductions(self):
         rng = np.random.default_rng(21)
         spaces = {"n": 2, "s": 3, "theta": 2, "rho": 3}
