@@ -11,7 +11,9 @@ under distinct types; repeating a (word, type) pair is an error.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -19,7 +21,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .pregroup import PregroupType, TypeSyntaxError, atom, parse_type
-from .tensor import TypedTensor, UnknownBaseError, semantic_shape, tensor_from_json
+from .tensor import TypedTensor, UnknownBaseError, _finite_float64, _wire_parts, semantic_shape
 
 THEME_BASE = "theta"
 RHEME_BASE = "rho"
@@ -50,12 +52,11 @@ class LexiconEntry:
     def __post_init__(self):
         seen = set()
         for s in self.senses:
-            key = s.type
-            if key in seen:
+            if s.type in seen:
                 raise LexiconError(
                     f"duplicate sense for word {self.word!r} under type '{s.type}'"
                 )
-            seen.add(key)
+            seen.add(s.type)
 
     def sense(self, type_: PregroupType) -> TypedTensor | None:
         for s in self.senses:
@@ -90,11 +91,14 @@ class Lexicon:
                 raise LexiconError(f"space assignment is missing base {base!r}")
         self.spaces: dict[str, int] = dict(spaces)
         self.entries: dict[str, LexiconEntry] = dict(entries)
+        fits = set()  # the (type, shape) pairs checked so far
         for word, entry in self.entries.items():
             if word != entry.word:
                 raise LexiconError(f"entry for {entry.word!r} filed under {word!r}")
             for s in entry.senses:
-                _check_shape(word, s.type, s.array.shape, self.spaces)
+                if (s.type, s.array.shape) not in fits:
+                    _check_shape(word, s.type, s.array.shape, self.spaces)
+                    fits.add((s.type, s.array.shape))
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
@@ -206,8 +210,8 @@ def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -e), e
 
 
-def _load_sidecar(path: Path) -> dict[str, np.ndarray]:
-    rows: dict[str, np.ndarray] = {}
+def _load_sidecar(path: Path) -> dict[str, tuple[tuple[int], list[float]]]:
+    rows: dict[str, tuple[tuple[int], list[float]]] = {}
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
@@ -219,14 +223,14 @@ def _load_sidecar(path: Path) -> dict[str, np.ndarray]:
         if not sep:
             raise LexiconError(f"{path}:{lineno}: expected 'word<TAB>values'")
         try:
-            vec = np.asarray([float(x) for x in rest.split()], dtype=np.float64)
+            vec = [float(x) for x in rest.split()]
         except ValueError:
             raise LexiconError(f"{path}:{lineno}: non-numeric vector entry") from None
         if word in rows:
             raise LexiconError(f"{path}:{lineno}: duplicate row for {word!r}")
-        if not np.isfinite(vec).all():
+        if not all(map(math.isfinite, vec)):
             raise LexiconError(f"{path}:{lineno}: data holds NaN or infinity")
-        rows[word] = vec
+        rows[word] = (len(vec),), vec
     return rows
 
 
@@ -252,45 +256,56 @@ def load_lexicon(path: str | Path) -> Lexicon:
     ):
         raise LexiconError(f"{path}: 'dims' must map base names to positive integers")
 
-    sidecars: dict[str, dict[str, np.ndarray]] = {}
-    senses: dict[str, list[TypedTensor]] = {}
-    for k, item in enumerate(raw["entries"], start=1):
-        if not (
-            isinstance(item, dict)
-            and isinstance(item.get("word"), str)
-            and isinstance(item.get("type"), str)
-            and isinstance(item.get("data_ref", ""), str)
-        ):
-            raise LexiconError(
-                f"{path}: entry {k}: expected an object with 'word' and 'type' "
-                "strings (and 'data_ref', if given, a string)"
-            )
-        word = item["word"]
-        where = f"{path}: entry {k} ({word!r})"
-        try:
-            type_ = parse_type(item["type"])
-            if "data_ref" in item:
-                if len(type_) != 1:
-                    raise LexiconError(
-                        f"data_ref sidecars hold vectors, but type '{type_}' "
-                        f"has {len(type_)} factors"
-                    )
-                ref = item["data_ref"]
-                if ref not in sidecars:
-                    sidecars[ref] = _load_sidecar((path.parent / ref).resolve())
-                if word not in sidecars[ref]:
-                    raise LexiconError(f"sidecar {ref!r} has no row for {word!r}")
-                arr = sidecars[ref][word]
-            else:
-                arr = tensor_from_json(item)
-            _check_shape(word, type_, arr.shape, dims)
-            senses.setdefault(word, []).append(TypedTensor(type_, arr))
-        except TypeSyntaxError as exc:
-            raise LexiconError(f"{where}: bad type: {exc}") from exc
-        except ValueError as exc:
-            raise LexiconError(f"{where}: {exc}") from exc
-    # LexiconEntry finds duplicate senses, Lexicon missing bases
+    # One pass: each distinct type string is parsed, and each (type string, shape)
+    # checked, once; all data goes through one float64 conversion into one buffer.
+    parse, fits, sidecars, inline, flat = functools.cache(parse_type), set(), {}, [], []
+    senses: dict[str, list[tuple[PregroupType, int, tuple[int, ...]]]] = {}  # (type, start, shape)
     try:
-        return Lexicon(dims, {w: LexiconEntry(w, tuple(ss)) for w, ss in senses.items()})
+        for k, item in enumerate(raw["entries"], start=1):
+            if not (isinstance(item, dict) and isinstance(item.get("word"), str)
+                    and isinstance(item.get("type"), str)
+                    and isinstance(item.get("data_ref", ""), str)):
+                raise LexiconError(f"{path}: entry {k}: expected an object with 'word' and "
+                                   "'type' strings (and 'data_ref', if given, a string)")
+            word, text = item["word"], item["type"]
+            try:
+                type_ = parse(text)
+                if "data_ref" in item:
+                    if len(type_) != 1:
+                        raise LexiconError(f"data_ref sidecars hold vectors, but type "
+                                           f"'{type_}' has {len(type_)} factors")
+                    ref = item["data_ref"]
+                    if ref not in sidecars:
+                        sidecars[ref] = _load_sidecar((path.parent / ref).resolve())
+                    if word not in sidecars[ref]:
+                        raise LexiconError(f"sidecar {ref!r} has no row for {word!r}")
+                    shape, data = sidecars[ref][word]
+                else:
+                    shape, data = _wire_parts(item)
+                    inline.append((k, item))
+                if (text, shape) not in fits:
+                    _check_shape(word, type_, shape, dims)
+                    fits.add((text, shape))
+                senses.setdefault(word, []).append((type_, len(flat), shape))
+                flat += data
+            except TypeSyntaxError as exc:
+                raise LexiconError(f"{path}: entry {k} ({word!r}): bad type: {exc}") from exc
+            except ValueError as exc:
+                raise LexiconError(f"{path}: entry {k} ({word!r}): {exc}") from exc
+        values = _finite_float64(flat)
+    except ValueError:  # an entry whose data does not convert outranks any later error
+        for k, item in inline:
+            try:
+                _finite_float64(item["data"])
+            except ValueError as exc:
+                raise LexiconError(f"{path}: entry {k} ({item['word']!r}): {exc}") from exc
+        raise
+    values.setflags(write=False)  # so TypedTensor keeps each view as it is
+    try:  # LexiconEntry finds duplicate senses, Lexicon missing bases
+        entries = {w: LexiconEntry(w, tuple(TypedTensor(t, values[i:i + math.prod(n)].reshape(n))
+                                            for t, i, n in ss)) for w, ss in senses.items()}
+        lexicon = Lexicon(dims, {})
     except LexiconError as exc:
         raise LexiconError(f"{path}: {exc}") from exc
+    lexicon.entries = entries  # not through Lexicon(): every shape was checked above
+    return lexicon

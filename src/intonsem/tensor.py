@@ -53,22 +53,26 @@ def semantic_shape(type_: PregroupType, spaces: Mapping[str, int]) -> tuple[int,
 class TypedTensor:
     """A tensor together with the pregroup type labelling its axes.
 
-    The array is coerced to a C-contiguous float64 copy and frozen, so a
-    TypedTensor is immutable after construction.  Its order must equal
-    the number of factors of the type; the unit type carries a scalar.
+    The array is kept when C-contiguous float64 and read-only down to its
+    memory's owner, else copied into one; a TypedTensor is immutable.  Its
+    order must match the type's factor count; the unit type carries a scalar.
     """
 
     type: PregroupType
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.array, dtype=np.float64, order="C")
+        arr = base = self.array
+        while type(base) is np.ndarray and not base.flags.writeable:
+            base = base.base  # down to the memory's owner, whose base is None
+        if base is not None or arr.dtype != np.float64 or not arr.flags.c_contiguous:
+            arr = np.array(arr, dtype=np.float64, order="C")
+            arr.setflags(write=False)
         if arr.ndim != len(self.type):
             raise ContractionError(
                 f"tensor order {arr.ndim} does not match type "
                 f"'{self.type}' with {len(self.type)} factors"
             )
-        arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
 
     @property
@@ -186,6 +190,12 @@ def tensor_from_json(obj: dict) -> np.ndarray:
     flat list of numbers (no booleans, strings or nested lists) that
     exactly fills the shape, every value finite in float64.
     """
+    shape, data = _wire_parts(obj)
+    return _finite_float64(data).reshape(shape)
+
+
+def _wire_parts(obj: dict) -> tuple[tuple[int, ...], list]:
+    """Shape and data, checked as :func:`tensor_from_json` does before converting."""
     if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
         raise ValueError("need 'shape' and 'data'")
     shape, data = obj["shape"], obj["data"]
@@ -196,8 +206,13 @@ def tensor_from_json(obj: dict) -> np.ndarray:
         raise ValueError("'data' must be a flat list of numbers")
     if len(data) != math.prod(shape):
         raise ValueError(f"data length {len(data)} does not fill shape {shape}")
+    return tuple(shape), data
+
+
+def _finite_float64(data: list) -> np.ndarray:
+    """A flat list of numbers as one float64 array, every value finite."""
     try:
-        arr = np.asarray(data, dtype=np.float64).reshape(shape)
+        arr = np.array(data, dtype=np.float64)
     except OverflowError:
         raise ValueError("data value out of float range") from None
     if not np.isfinite(arr).all():

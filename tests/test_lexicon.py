@@ -11,7 +11,7 @@ from intonsem.lexicon import (
     load_lexicon,
 )
 from intonsem.pregroup import parse_type
-from intonsem.tensor import TypedTensor
+from intonsem.tensor import TypedTensor, tensor_from_json
 
 DIMS = {"n": 4, "s": 4, "theta": 4, "rho": 4}
 
@@ -292,6 +292,104 @@ class TestLoadErrors:
         assert np.array_equal(lex["y"].sense(parse_type("n")).array, [0.0, 1.0])
         assert np.array_equal(lex["x"].sense(parse_type("rho")).array, [1.0, 0.0])
 
+    # Each entry's checks run in order (type syntax, data_ref, inline data,
+    # shape), and the first entry that fails any of them names the error.
+    def test_bad_data_wins_over_later_bad_type(self, write_lexicon):
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [
+                    {"word": "a", "type": "n", "shape": [2], "data": [1, 0]},
+                    {"word": "b", "type": "n", "shape": [2], "data": [float("nan"), 0]},
+                    {"word": "c", "type": "n$", "shape": [2], "data": [1, 0]},
+                ],
+            }
+        )
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(p)
+        assert str(exc.value) == f"{p}: entry 2 ('b'): data holds NaN or infinity"
+
+    def test_overflow_before_a_valid_entry(self, write_lexicon):
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [
+                    {"word": "a", "type": "n", "shape": [2], "data": [10**400, 0]},
+                    {"word": "b", "type": "n", "shape": [2], "data": [1, 0]},
+                ],
+            }
+        )
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(p)
+        assert str(exc.value) == f"{p}: entry 1 ('a'): data value out of float range"
+
+    def test_reused_type_string_with_wrong_shape(self, write_lexicon):
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [
+                    {"word": "a", "type": "n.r s", "shape": [2, 1], "data": [1, 0]},
+                    {"word": "b", "type": "n.r s", "shape": [2, 1], "data": [0, 1]},
+                    {"word": "c", "type": "n.r s", "shape": [2, 2], "data": [0, 1, 1, 0]},
+                ],
+            }
+        )
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(p)
+        assert str(exc.value) == (
+            f"{p}: entry 3 ('c'): shape mismatch for word 'c', sense 'n.r s': "
+            "expected [2, 1], got [2, 2]"
+        )
+
+    def test_duplicate_sense_under_two_spellings(self, write_lexicon):
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [
+                    {"word": "a", "type": "n n.l", "shape": [2, 2], "data": [1, 0, 0, 1]},
+                    {"word": "a", "type": "n  n.l", "shape": [2, 2], "data": [0, 1, 1, 0]},
+                ],
+            }
+        )
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(p)
+        assert str(exc.value) == f"{p}: duplicate sense for word 'a' under type 'n n.l'"
+
+    @pytest.mark.parametrize(
+        "tensor",
+        [
+            {"shape": [0], "data": []},
+            {"shape": [True, 2], "data": [1, 0]},
+            {"shape": "2", "data": [1, 0]},
+            {"shape": [2], "data": ["x", 0]},
+            {"shape": [2], "data": [[1], [0]]},
+            {"shape": [2], "data": [True, 0]},
+            {"shape": [2], "data": [1]},
+            {"shape": [2], "data": [1, 0, 0]},
+            {"shape": [2], "data": [float("nan"), 0]},
+            {"shape": [2], "data": [0, float("inf")]},
+            {"shape": [2], "data": [-float("inf"), 0]},
+            {"shape": [2], "data": [1, -(10**400)]},
+        ],
+        ids=["shape-zero", "shape-bool", "shape-string", "data-string", "data-nested",
+             "data-true", "too-short", "too-long", "nan", "inf", "minus-inf", "past-float"],
+    )
+    def test_inline_checks_are_those_of_tensor_from_json(self, write_lexicon, tensor):
+        with pytest.raises(ValueError) as want:
+            tensor_from_json(tensor)
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [
+                    {"word": "a", "type": "n", "shape": [2], "data": [1, 0]},
+                    {"word": "x", "type": "n", **tensor},
+                ],
+            }
+        )
+        with pytest.raises(LexiconError) as got:
+            load_lexicon(p)
+        assert str(got.value) == f"{p}: entry 2 ('x'): {want.value}"
+
 
 class TestEntryAndLexiconInvariants:
     def test_duplicate_sense_in_entry(self):
@@ -308,6 +406,12 @@ class TestEntryAndLexiconInvariants:
         e = _entry("ann", ("n", np.zeros(3)))
         with pytest.raises(LexiconError, match="shape mismatch"):
             Lexicon(DIMS, {"ann": e})
+
+    def test_shape_checked_for_each_word_sharing_a_type(self):
+        entries = {"ann": _entry("ann", ("n", np.zeros(4))), "bob": _entry("bob", ("n", np.zeros(3)))}
+        with pytest.raises(LexiconError) as exc:
+            Lexicon(DIMS, entries)
+        assert str(exc.value) == "shape mismatch for word 'bob', sense 'n': expected [4], got [3]"
 
     def test_lexicon_reports_unknown_base(self):
         e = _entry("x", ("q", np.zeros(2)))

@@ -95,6 +95,43 @@ class TestTypedTensor:
         src[0] = 100.0
         assert t.array[0] == 0.0
 
+    def test_keeps_read_only_float64_without_copy(self):
+        src = np.arange(3, dtype=np.float64)
+        src.setflags(write=False)
+        assert TypedTensor(parse_type("n"), src).array is src
+
+    def test_shares_another_tensors_array(self):
+        t = TypedTensor(parse_type("n"), np.arange(3))
+        assert TypedTensor(parse_type("rho"), t.array).array is t.array
+
+    def test_copies_read_only_view_of_writable_array(self):
+        base = np.arange(3, dtype=np.float64)
+        view = base[:]
+        view.setflags(write=False)
+        t = TypedTensor(parse_type("n"), view)
+        base[0] = 100.0
+        assert t.array[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "src",
+        [np.arange(4, dtype=np.float32).reshape(2, 2), np.arange(4.0).reshape(2, 2).T],
+        ids=["float32", "fortran-order"],
+    )
+    def test_converts_other_dtype_or_layout(self, src):
+        src.setflags(write=False)
+        t = TypedTensor(parse_type("n n"), src)
+        assert t.array is not src
+        assert t.array.dtype == np.float64 and t.array.flags.c_contiguous
+        assert not t.array.flags.writeable
+        assert np.array_equal(t.array, src)
+
+    def test_loaded_sense_is_read_only(self, example_lexicon):
+        for word in example_lexicon:
+            for s in example_lexicon[word].senses:
+                assert not s.array.flags.writeable
+                with pytest.raises(ValueError):
+                    s.array[(0,) * s.order] = 9.0
+
 
 class TestEpsilonContract:
     def test_vector_matrix(self):
