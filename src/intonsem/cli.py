@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring, encode_basestring_ascii
 
 import numpy as np
 
@@ -38,6 +39,9 @@ from .truth import (
     theme_vector,
 )
 
+_JSON_BASES = ((float, float), (str, str.__str__), (dict, lambda d: dict(d.items())), (list, list))
+
+
 class _Failure(Exception):
     """A documented failure: ``main`` prints ``error: <message>``, exits ``code``."""
 
@@ -58,21 +62,24 @@ def _fmt_float(x: float) -> str:
 
 
 def _stable_json(obj) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-significant-digit
-    floats, no locale surprises."""
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_stable_json(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, list):
-        return "[" + ", ".join(_stable_json(v) for v in obj) + "]"
+    """Deterministic JSON in one pass: insertion-ordered keys, 17-significant-digit
+    floats, strings through the C encoders ``json.dumps`` uses, no locale surprises."""
+    kind = type(obj)
+    if kind is float:
+        return format(obj, ".17g")
+    if kind is list:
+        return "[" + ", ".join([_stable_json(v) for v in obj]) + "]"
+    if kind is dict:
+        return "{" + ", ".join([
+            f"{encode_basestring_ascii(k) if type(k) is str else json.dumps(k)}: {_stable_json(v)}"
+            for k, v in obj.items()]) + "}"
+    if kind is str:
+        return encode_basestring(obj)
+    if isinstance(obj, int):  # bool, int or a subclass of int
+        return ("true" if obj else "false") if kind is bool else str(obj)
+    for base, convert in _JSON_BASES:  # a subclass prints as its base type does
+        if isinstance(obj, base):
+            return _stable_json(convert(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -258,7 +258,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
     # One pass: each distinct type string is parsed, and each (type string, shape)
     # checked, once; all data goes through one float64 conversion into one buffer.
-    parse, fits, sidecars, inline, flat = functools.cache(parse_type), set(), {}, [], []
+    parse, fits, sidecars, files, inline, flat = functools.cache(parse_type), set(), {}, {}, [], []
     senses: dict[str, list[tuple[PregroupType, int, tuple[int, ...]]]] = {}  # (type, start, shape)
     try:
         for k, item in enumerate(raw["entries"], start=1):
@@ -276,7 +276,12 @@ def load_lexicon(path: str | Path) -> Lexicon:
                                            f"'{type_}' has {len(type_)} factors")
                     ref = item["data_ref"]
                     if ref not in sidecars:
-                        sidecars[ref] = _load_sidecar((path.parent / ref).resolve())
+                        full = path.parent / ref
+                        try:  # one read per file, however it is spelled
+                            file = full.stat()[1:3]  # (inode, device)
+                            sidecars[ref] = files[file] = files.get(file) or _load_sidecar(full)
+                        except (OSError, LexiconError):  # again: errors name the resolved path
+                            sidecars[ref] = _load_sidecar(full.resolve())
                     if word not in sidecars[ref]:
                         raise LexiconError(f"sidecar {ref!r} has no row for {word!r}")
                     shape, data = sidecars[ref][word]

@@ -26,6 +26,7 @@ filled cells, at a cost that grows with the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -90,6 +91,10 @@ class PregroupType:
         if not all(isinstance(f, SimpleType) for f in self.factors):
             raise TypeError("factors must be SimpleType instances")
 
+    # computed once per type, as r and l are: span typing hashes its targets on every call
+    _hash = cached_property(lambda self: hash(self.factors))
+    __hash__ = lambda self: self._hash  # noqa: E731
+
     def __len__(self) -> int:
         return len(self.factors)
 
@@ -103,12 +108,12 @@ class PregroupType:
     def __matmul__(self, other: "PregroupType") -> "PregroupType":
         return PregroupType(self.factors + other.factors)
 
-    @property
+    @cached_property
     def l(self) -> "PregroupType":
         # The adjoint of a product reverses the order of the factors.
         return PregroupType(tuple(f.l for f in reversed(self.factors)))
 
-    @property
+    @cached_property
     def r(self) -> "PregroupType":
         return PregroupType(tuple(f.r for f in reversed(self.factors)))
 
@@ -178,8 +183,7 @@ class ReductionDiagram:
     size: int
 
     def __post_init__(self):
-        seen = sorted([k for ij in self.links for k in ij] + list(self.survivors))
-        if seen != list(range(self.size)):
+        if sorted([k for ij in self.links for k in ij] + [*self.survivors]) != [*range(self.size)]:
             raise ValueError("links and survivors must partition range(size)")
         if any(i >= j for i, j in self.links):
             raise ValueError("links must be (i, j) pairs with i < j")
@@ -268,18 +272,22 @@ class _Chart:
         for w, senses in enumerate(alternatives):
             b, finals = len(out) - 1, []
             for s, t in enumerate(senses):
-                g = b
-                for f, x in enumerate(t.factors or (None,)):
+                g, f = b, 0
+                for x in t.factors:
                     if f:
                         g = len(out)
                         dst.append(g)
                         out.append([])
                     out[g].append(len(edges))
                     edges.append((g, w, s, f, x))
-                    k = None if x is None else (x.base, x.z)
+                    k = x.base, x.z
                     key.append(k)
-                    if k:
-                        starts[k] = starts.get(k, 0) | 1 << g
+                    starts[k] = starts.get(k, 0) | 1 << g
+                    f += 1
+                if not f:  # the empty sense: one edge with no factor
+                    out[b].append(len(edges))
+                    edges.append((b, w, s, 0, None))
+                    key.append(None)
                 finals.append(len(dst))
                 dst.append(-1)  # the next boundary, known once the word is laid out
             self.bounds.append(len(out))
@@ -294,26 +302,25 @@ class _Chart:
 
     def fill(self, gaps: Iterable[int]) -> None:
         """(Re)compute the unit cells of ``gaps``, given in descending order."""
-        out, dst, key, unit = self.out, self.dst, self.key, self.unit
+        out, dst, key, unit, starts = self.out, self.dst, self.key, self.unit, self.starts
         for a in gaps:
             reach = 1 << a
             for e in out[a]:
-                t = dst[e]
-                if key[e] is None:
-                    reach |= unit[t]
+                k = key[e]
+                if k is None:
+                    reach |= unit[dst[e]]
                     continue
-                want = (key[e][0], key[e][1] + 1)
+                want = k[0], k[1] + 1
                 found = []
-                ends = unit[t] & self.starts.get(want, 0)
+                ends = unit[dst[e]] & starts.get(want, 0)
                 while ends:  # each gap where a cancelling inside can end
                     low = ends & -ends
                     ends ^= low
                     for e2 in out[low.bit_length() - 1]:
                         if key[e2] == want:
                             found.append(e2)
+                            reach |= unit[dst[e2]]
                 self.partners[e] = found
-                for e2 in found:
-                    reach |= unit[dst[e2]]
             unit[a] = reach
 
     def reductions(self) -> Iterator[tuple[tuple[int, ...], ReductionDiagram]]:
@@ -322,7 +329,7 @@ class _Chart:
         are the survivors.  Only states that lead to a reduction are
         pushed, in reverse, so paths come out in edge-choice order."""
         out, dst, edges, unit, partners = self.out, self.dst, self.edges, self.unit, self.partners
-        last = len(self.bounds) - 2
+        last, end = len(self.bounds) - 2, self.end
         # An entry: the gap reached; the pending link ends, a linked list of
         # (left position or None for a survivor, right edge, rest) that the
         # path cancels up to; the senses, flat position, links, survivors.
@@ -337,7 +344,7 @@ class _Chart:
                     position += 1
                     if edges[e2][3] == 0:  # the partner starts its word
                         senses += (edges[e2][2],)
-            b = self.end if ends is None else edges[ends[1]][0]
+            b = end if ends is None else edges[ends[1]][0]
             if g == b:
                 yield senses, ReductionDiagram(tuple(sorted(links)), survivors, position)
                 continue
@@ -358,7 +365,7 @@ class _Chart:
 def _check(words: Sequence, target: PregroupType) -> None:
     if len(words) == 0:
         raise ValueError("need at least one type to reduce")
-    if any(f.z != 0 for f in target):
+    if any([f.z for f in target.factors]):
         raise ValueError("target must consist of plain factors")
 
 
@@ -384,8 +391,8 @@ def chart_reductions(
     """
     _check(alternatives, target)
     # The word factors linked into the appended t.r are the survivors.
-    chart = _Chart([*alternatives, [target.r]])
-    return sorted(chart.reductions(), key=lambda r: (r[0], r[1].links))
+    found = [*_Chart([*alternatives, [target.r]]).reductions()]
+    return sorted(found, key=lambda r: (r[0], r[1].links)) if len(found) > 1 else found
 
 
 def closest_residual(alternatives: Sequence[Sequence[PregroupType]]) -> PregroupType:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pregroup import PregroupType, ReductionDiagram, cancels, flatten
+from .pregroup import PregroupType, ReductionDiagram, cancels
 
 
 class ContractionError(ValueError):
@@ -100,7 +100,7 @@ def epsilon_contract(
     """
     na, nb = a.order, b.order
     i, j = range(na)[axis_a], na + range(nb)[axis_b]
-    rest = tuple(k for k in range(na + nb) if k not in (i, j))
+    rest = (*range(i), *range(i + 1, j), *range(j + 1, na + nb))
     return compose([a, b], ReductionDiagram(((i, j),), rest, na + nb))
 
 
@@ -120,11 +120,11 @@ def compose(
     The work is one collection of parts, each an array plus the global
     factor ids of its axes: one part per word to start, kept by label,
     with ``owner[k]`` the label of factor k's part.  A link between two
-    parts is one ``np.tensordot`` that merges them, a link inside a part
-    one ``np.trace``.  The parts left (a closed loop is 0-d) are folded
-    by outer products and transposed into ascending survivor order.
+    parts is one tensordot that merges them, a link inside a part one
+    ``np.trace``.  The parts left are folded by outer products and
+    transposed into ascending survivor order, into the read-only result.
     """
-    factors = flatten([w.type for w in words])
+    factors = [f for w in words for f in w.type.factors]
     if diagram.size != len(factors):
         raise ContractionError(
             f"diagram covers {diagram.size} factors but the words have {len(factors)}"
@@ -157,7 +157,7 @@ def compose(
         else:
             arr_j, ids_j = parts.pop(owner[j])
             try:
-                arr = np.tensordot(arr, arr_j, axes=(ids.index(i), ids_j.index(j)))
+                arr = _tensordot(arr, ids.index(i), arr_j, ids_j.index(j))
             except ValueError as exc:  # the merged part outgrows numpy's axis limit
                 raise ContractionError(f"cannot contract link ({i + 1}, {j + 1}): {exc}") from exc
             for k in ids_j:
@@ -165,15 +165,25 @@ def compose(
             ids = ids + ids_j
         parts[owner[i]] = (arr, [k for k in ids if k not in (i, j)])
 
-    out, ids = np.asarray(1.0), []
-    for arr, part_ids in parts.values():
+    (out, ids), *rest = parts.values() or [(np.asarray(1.0), [])]
+    for arr, part_ids in rest:
         try:
             out = np.multiply.outer(out, arr)
         except ValueError as exc:  # the product outgrows numpy's axis limit
             raise ContractionError(f"cannot fold the unlinked parts: {exc}") from exc
         ids += part_ids
-    out = out.transpose(sorted(range(len(ids)), key=ids.__getitem__))  # argsort
-    return TypedTensor(PregroupType(tuple(factors[k] for k in diagram.survivors)), out)
+    out = view = out if ids == sorted(ids) else out.transpose(np.argsort(ids))
+    while view is not None and view.flags.writeable:  # compose's own: the words' are read-only
+        view.flags.writeable, view = False, view.base
+    return TypedTensor(PregroupType(tuple([factors[k] for k in diagram.survivors])), out)
+
+
+def _tensordot(a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:
+    """``np.tensordot(a, b, axes=(i, j))``'s transposes, reshapes and BLAS dot, no checks."""
+    d, ra, rb = a.shape[i], a.shape[:i] + a.shape[i + 1:], b.shape[:j] + b.shape[j + 1:]
+    a = a.transpose([*range(i), *range(i + 1, a.ndim), i]) if i + 1 < a.ndim else a
+    b = b.transpose([j, *range(j), *range(j + 1, b.ndim)]) if j else b
+    return np.dot(a.reshape(math.prod(ra), d), b.reshape(d, math.prod(rb))).reshape(ra + rb)
 
 
 def tensor_to_json(arr: np.ndarray) -> dict:

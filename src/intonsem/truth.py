@@ -86,10 +86,15 @@ class Relation:
     def from_pairs(
         cls, name: str, pairs, universe: Universe
     ) -> "Relation":
-        d = universe.dim
+        d, at = universe.dim, universe._positions
         m = np.zeros((d, d))
-        # one assignment at the row-major flat index of every pair's cell
-        m.put([universe.index(a) * d + universe.index(b) for a, b in pairs], 1.0)
+        flat = []  # the row-major flat index of every pair's cell, for one assignment
+        for a, b in pairs:
+            try:
+                flat.append(at[a] * d + at[b])
+            except (KeyError, TypeError):  # Universe.index names an unknown or unhashable name
+                flat.append(universe.index(a) * d + universe.index(b))
+        m.put(flat, 1.0)
         return cls(name, m)
 
 
@@ -150,9 +155,7 @@ def load_universe(path: str | Path) -> tuple[Universe, dict[str, Relation]]:
     if not isinstance(raw, dict) or "individuals" not in raw:
         raise UniverseError(f"{path}: expected an object with 'individuals'")
     individuals = raw["individuals"]
-    if not isinstance(individuals, list) or not all(
-        isinstance(x, str) for x in individuals
-    ):
+    if not isinstance(individuals, list) or {*map(type, individuals)} - {str}:
         raise UniverseError(f"{path}: 'individuals' must be a list of names")
     universe = Universe(tuple(individuals))
     listed = raw.get("relations", {})
@@ -160,9 +163,7 @@ def load_universe(path: str | Path) -> tuple[Universe, dict[str, Relation]]:
         raise UniverseError(f"{path}: 'relations' must be an object mapping names to pairs")
     relations: dict[str, Relation] = {}
     for name, pairs in listed.items():
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in pairs
-        ):
+        if not isinstance(pairs, list) or {*map(type, pairs)} - {list} or {*map(len, pairs)} - {2}:
             raise UniverseError(
                 f"{path}: relation {name!r} must be a list of [subject, object] pairs"
             )

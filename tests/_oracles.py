@@ -10,6 +10,7 @@ merge the span values with explicit spider tensors.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -212,3 +213,22 @@ def brute_force_analyses(sentence, lexicon) -> list[dict]:
                 "meaning": _wire(wiring, [v for _, _, v in choice]),
             })
     return out
+
+
+def stable_json_reference(obj) -> str:
+    """The CLI's deterministic JSON writer as it was first written: a
+    recursive ``isinstance`` chain with ``json.dumps`` for every string."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        return format(float(obj), ".17g")
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, dict):
+        inner = ", ".join(f"{json.dumps(k)}: {stable_json_reference(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(stable_json_reference(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

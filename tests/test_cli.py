@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from _oracles import stable_json_reference
 from intonsem import cli
 from intonsem.cli import main
 from intonsem.intonation import meaning, parse_annotated
@@ -722,3 +723,59 @@ class TestSelfcheck:
         code, out, err = run("selfcheck", "--tolerance", "nan")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class _Text(str):
+    def __str__(self):
+        return "not the data"
+
+
+class _Count(int):
+    pass
+
+
+def _random_document(rng, depth=0):
+    """A JSON-able value with the awkward corners of the writer's input."""
+    chars = ["a", "Z", " ", '"', "\\", "/", "é", "ß", "日", "😀", "\ud800", "\x7f", "\u2028"]
+    chars += [chr(c) for c in range(32)]
+
+    def text():
+        return "".join(rng.choice(chars) for _ in range(rng.integers(0, 6)))
+
+    leaves = [
+        lambda: float(rng.choice([0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 0.1, 1 / 3, 1e300,
+                                  -1.7976931348623157e308])),
+        lambda: float(rng.normal() * 10.0 ** rng.integers(-30, 30)),
+        lambda: np.float64(rng.normal()),
+        lambda: int(rng.integers(-5, 5)) * 10 ** int(rng.integers(0, 40)),
+        lambda: _Count(rng.integers(100)),
+        lambda: bool(rng.integers(2)),
+        text,
+        lambda: _Text(text()),
+    ]
+    if depth < 4 and rng.random() < 0.5:
+        if rng.random() < 0.5:
+            return [_random_document(rng, depth + 1) for _ in range(rng.integers(0, 5))]
+        keys = [text, lambda: int(rng.integers(-3, 3)), lambda: 0.5, lambda: True, lambda: None]
+        return {keys[rng.integers(len(keys))]() if rng.random() < 0.2 else text():
+                _random_document(rng, depth + 1) for _ in range(rng.integers(0, 5))}
+    return leaves[rng.integers(len(leaves))]()
+
+
+class TestStableJson:
+    def test_matches_the_reference_writer_on_generated_documents(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(2000):
+            doc = _random_document(rng)
+            assert cli._stable_json(doc) == stable_json_reference(doc), repr(doc)
+
+    def test_document_round_trips_through_json_loads(self):
+        doc = {"é": ["\x00\u2028😀", -0.0, 5e-324, 10 ** 30, True], "x": {"y": []}}
+        assert json.loads(cli._stable_json(doc)) == doc
+
+    @pytest.mark.parametrize("value", [None, (1, 2), np.int64(3), {"k": {1, 2}}])
+    def test_unsupported_values_raise_the_same_error(self, value):
+        with pytest.raises(TypeError) as want:
+            stable_json_reference(value)
+        with pytest.raises(TypeError, match=f"^{want.value}$"):
+            cli._stable_json(value)

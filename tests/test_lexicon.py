@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from intonsem import lexicon as lexicon_module
 from intonsem.lexicon import (
     Lexicon,
     LexiconEntry,
@@ -291,6 +292,59 @@ class TestLoadErrors:
         assert np.array_equal(lex["x"].sense(parse_type("n")).array, [1.0, 0.0])
         assert np.array_equal(lex["y"].sense(parse_type("n")).array, [0.0, 1.0])
         assert np.array_equal(lex["x"].sense(parse_type("rho")).array, [1.0, 0.0])
+
+    def test_each_sidecar_file_read_once_whatever_its_spelling(
+        self, tmp_path, write_lexicon, monkeypatch
+    ):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "v.tsv").write_text("x\t1 0\ny\t0 1\n")
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return load_sidecar(path)
+
+        load_sidecar = lexicon_module._load_sidecar
+        monkeypatch.setattr(lexicon_module, "_load_sidecar", counting)
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [
+                    {"word": "x", "type": "n", "data_ref": "v.tsv"},
+                    {"word": "y", "type": "n", "data_ref": "./v.tsv"},
+                    {"word": "x", "type": "rho", "data_ref": "sub/../v.tsv"},
+                ],
+            }
+        )
+        lex = load_lexicon(p)
+        assert len(reads) == 1
+        assert np.array_equal(lex["y"].sense(parse_type("n")).array, [0.0, 1.0])
+        assert np.array_equal(lex["x"].sense(parse_type("rho")).array, [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            (None, "cannot read vector sidecar {0}: [Errno 2] No such file or directory: '{0}'"),
+            ("x\t1 0\nx\t0 1\n", "{0}:2: duplicate row for 'x'"),
+        ],
+        ids=["missing-file", "duplicate-row"],
+    )
+    def test_sidecar_errors_name_the_resolved_path(
+        self, tmp_path, write_lexicon, sidecar, message
+    ):
+        (tmp_path / "sub").mkdir()
+        if sidecar is not None:
+            (tmp_path / "v.tsv").write_text(sidecar)
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [{"word": "x", "type": "n", "data_ref": "sub/../v.tsv"}],
+            }
+        )
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(p)
+        resolved = (tmp_path / "v.tsv").resolve()
+        assert str(exc.value) == f"{p}: entry 1 ('x'): " + message.format(resolved)
 
     # Each entry's checks run in order (type syntax, data_ref, inline data,
     # shape), and the first entry that fails any of them names the error.

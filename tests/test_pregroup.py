@@ -112,6 +112,18 @@ class TestTypeAlgebra:
         assert p[0] == SimpleType("n", 1)
         assert p[1:] == parse_type("s n.l")
 
+    @pytest.mark.parametrize("text", ["", "n", "n.r s n.l", "theta rho.l.l n.r"])
+    def test_cached_adjoints_and_hash_equal_a_fresh_type(self, text):
+        t = parse_type(text)
+        first = (t.l, t.r, hash(t))  # computed, then cached
+        assert (t.l, t.r, hash(t)) == first
+        fresh = PregroupType(tuple(t.factors))
+        assert t.r == PregroupType(tuple(f.r for f in reversed(fresh.factors)))
+        assert t.l == PregroupType(tuple(f.l for f in reversed(fresh.factors)))
+        assert hash(t) == hash(fresh) and t == fresh
+        assert t.r.l == t and t.l.r == t
+        assert {t: 1}[fresh] == 1
+
     def test_factors_must_be_simple_types(self):
         with pytest.raises(TypeError, match="^factors must be SimpleType instances$"):
             PregroupType(("n",))

@@ -230,6 +230,41 @@ class TestCompose:
         assert out.type == atom("n")
         assert np.array_equal(out.array, v.array)
 
+    def test_result_keeps_the_array_compose_built(self, monkeypatch):
+        # the product of the one link is the result's memory, read-only
+        built = []
+        dot = np.dot
+
+        def spy(a, b):
+            built.append(dot(a, b))
+            return built[-1]
+
+        monkeypatch.setattr(np, "dot", spy)
+        rng = np.random.default_rng(31)
+        v = TypedTensor(atom("n"), rng.random(4))
+        verb = TypedTensor(parse_type("n.r s n.l"), rng.random((4, 2, 4)))
+        out = compose([v, verb], ReductionDiagram(((0, 1),), (2, 3), 4))
+        assert len(built) == 1 and np.shares_memory(out.array, built[0])
+        assert not out.array.flags.writeable
+        assert np.array_equal(out.array, np.tensordot(v.array, verb.array, axes=(0, 0)))
+
+    def test_one_unlinked_word_shares_its_sense(self):
+        v = TypedTensor(atom("n"), np.array([1.0, 2.0, 3.0, 4.0]))
+        out = compose([v], ReductionDiagram((), (0,), 1))
+        assert np.shares_memory(out.array, v.array)
+        assert not out.array.flags.writeable
+
+    def test_transposed_result_is_read_only_and_c_contiguous(self):
+        # the third word's part is folded before the merged first two
+        rng = np.random.default_rng(32)
+        words = [TypedTensor(t, rng.random(semantic_shape(t, SPACES)))
+                 for t in (parse_type("n"), parse_type("n.r s"), parse_type("theta"))]
+        out = compose(words, ReductionDiagram(((0, 1),), (2, 3), 4), link_order=[0])
+        want = np.multiply.outer(np.tensordot(words[0].array, words[1].array, axes=(0, 0)),
+                                 words[2].array)
+        assert np.array_equal(out.array, want)
+        assert out.array.flags.c_contiguous and not out.array.flags.writeable
+
     def test_trace_within_one_word(self):
         m = np.arange(9.0).reshape(3, 3)
         w = TypedTensor(parse_type("n n.r"), m)
