@@ -278,7 +278,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
                     if ref not in sidecars:
                         full = path.parent / ref
                         try:  # one read per file, however it is spelled
-                            file = full.stat()[1:3]  # (inode, device)
+                            st = full.stat()  # (inode, device) names a file, unless the inode is 0
+                            file = (st.st_ino, st.st_dev) if st.st_ino else ref
                             sidecars[ref] = files[file] = files.get(file) or _load_sidecar(full)
                         except (OSError, LexiconError):  # again: errors name the resolved path
                             sidecars[ref] = _load_sidecar(full.resolve())

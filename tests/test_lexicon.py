@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -320,6 +323,30 @@ class TestLoadErrors:
         assert len(reads) == 1
         assert np.array_equal(lex["y"].sense(parse_type("n")).array, [0.0, 1.0])
         assert np.array_equal(lex["x"].sense(parse_type("rho")).array, [1.0, 0.0])
+
+    def test_sidecars_with_inode_zero_are_kept_apart(self, tmp_path, write_lexicon, monkeypatch):
+        # some filesystems report st_ino 0, which then names no file
+        (tmp_path / "a.tsv").write_text("x\t1 0\n")
+        (tmp_path / "b.tsv").write_text("x\t0 1\n")
+        stat = Path.stat
+
+        def inode_zero(self, **kw):
+            st = stat(self, **kw)
+            return os.stat_result((st.st_mode, 0, *tuple(st)[2:]))
+
+        monkeypatch.setattr(Path, "stat", inode_zero)
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [
+                    {"word": "x", "type": "n", "data_ref": "a.tsv"},
+                    {"word": "x", "type": "rho", "data_ref": "b.tsv"},
+                ],
+            }
+        )
+        lex = load_lexicon(p)
+        assert np.array_equal(lex["x"].sense(parse_type("n")).array, [1.0, 0.0])
+        assert np.array_equal(lex["x"].sense(parse_type("rho")).array, [0.0, 1.0])
 
     @pytest.mark.parametrize(
         "sidecar, message",

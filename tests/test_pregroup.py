@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -123,6 +125,15 @@ class TestTypeAlgebra:
         assert hash(t) == hash(fresh) and t == fresh
         assert t.r.l == t and t.l.r == t
         assert {t: 1}[fresh] == 1
+
+    @pytest.mark.parametrize("text", ["n", "n.r s n.l"])
+    def test_pickle_and_copy_leave_the_cached_values_behind(self, text):
+        # a str hash differs between processes, so a cached hash must not travel
+        t = parse_type(text)
+        hash(t), t.l, t.r
+        for twin in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+            assert twin == t and not {"_hash", "l", "r"} & vars(twin).keys()
+            assert {t: 1}[twin] == 1
 
     def test_factors_must_be_simple_types(self):
         with pytest.raises(TypeError, match="^factors must be SimpleType instances$"):

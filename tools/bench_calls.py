@@ -7,11 +7,12 @@ Run it from the repository root.  ``--root`` names the source checkout
 whose ``src/`` is timed (default: this one); the inputs come from that
 checkout's ``perfbench/workloads.py``, so two checkouts are timed on the
 same inputs.  Each call is timed in process as the fastest of its
-repeats, in microseconds.  The figures are stored under ``--label``; a
-second run with the same label keeps the faster figure of each call, so
-alternating runs of two checkouts compare their best figures.  When the
-file holds a ``parent`` and a ``change`` label it also gets their ratios
-(parent time / change time).
+repeats, in microseconds, with the repeats of all calls taking turns.
+The figures are stored under ``--label``; a second run with the same
+label keeps the faster figure of each call, so alternating runs of two
+checkouts compare their best figures.  When the file holds a ``parent``
+and a ``change`` label it also gets their ratios (parent time / change
+time).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import timeit
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+OUT = HERE / "BENCH_calls.json"
+REPEAT = 15  # rounds per call; the figure is the fastest
 
 
 def _calls():
@@ -74,28 +77,32 @@ def _calls():
     ]
 
 
-def _time(call, repeat: int) -> float:
-    """Fastest of ``repeat`` rounds, in microseconds per call."""
-    timer = timeit.Timer(call)
-    number, _ = timer.autorange()  # enough calls for a 0.2 s round
-    number = max(1, number // 4)
-    return min(timer.repeat(repeat=repeat, number=number)) / number * 1e6
+def _time(calls) -> dict[str, float]:
+    """Fastest of ``REPEAT`` rounds of each call, in microseconds per call.  The
+    rounds of all calls take turns, so a burst of load elsewhere on the host
+    slows a round or two of each call rather than every round of one."""
+    timers = {name: timeit.Timer(call) for name, call in calls}
+    # about 0.05 s a round: a quarter of what autorange picks for 0.2 s
+    numbers = {name: max(1, timer.autorange()[0] // 4) for name, timer in timers.items()}
+    best = dict.fromkeys(timers, float("inf"))
+    for _ in range(REPEAT):
+        for name, timer in timers.items():
+            best[name] = min(best[name], timer.timeit(numbers[name]) / numbers[name] * 1e6)
+    return best
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="name the figures are stored under")
     parser.add_argument("--root", type=Path, default=HERE, help="source checkout to time")
-    parser.add_argument("--out", type=Path, default=HERE / "BENCH_calls.json")
-    parser.add_argument("--repeat", type=int, default=15)
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "perfbench")]
     import numpy as np
 
-    figures = {name: round(_time(call, args.repeat), 2) for name, call in _calls()}
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    figures = {name: round(t, 2) for name, t in _time(_calls()).items()}
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc["python"] = platform.python_version()
     doc["numpy"] = np.__version__
     doc["cpus"] = os.cpu_count()
@@ -108,7 +115,7 @@ def main(argv=None) -> int:
         doc["ratio_parent_over_change"] = {
             k: round(parent[k] / change[k], 2) for k in change if k in parent
         }
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    OUT.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(trees[args.label], indent=2))
     return 0
 
