@@ -36,9 +36,7 @@ from .lexicon import (
     Lexicon,
     LexiconEntry,
     LexiconError,
-    MissingSenseError,
     cosine,
-    derive_intonation_senses,
     load_lexicon,
 )
 from .pregroup import (

@@ -5,9 +5,11 @@ Output is deterministic: floats are printed with 17 significant digits
 no timestamps or environment data appear.  Exit codes: 0 success, 1
 semantic or structural failure (no reduction, infelicitous structure,
 cross-order comparison, float64 overflow, a contraction past numpy's
-limit on array axes), 2 input error (bad arguments or syntax, unknown
-word or individual, unreadable or malformed file).  Commands return their
-answer; ``main`` is the only writer of stdout and stderr.
+limit on array axes, a merge that does not fit in memory, an answer that
+stdout cannot take: ``error: cannot write output: <reason>``), 2 input
+error (bad arguments or syntax, unknown word or individual, unreadable
+or malformed file).  Commands return their answer; ``main`` is the only
+writer of stdout and stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring, encode_basestring_ascii
 
@@ -362,7 +365,11 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise"):
             code, document, lines = args.func(args)
         json_out = document is not None and args.format == "json"
-        print(_stable_json(document) if json_out else "\n".join(lines))
+        try:
+            print(_stable_json(document) if json_out else "\n".join(lines), flush=True)
+        except OSError as exc:  # stdout closed or full: devnull takes the exit-time flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise _Failure(1, f"cannot write output: {exc.strerror}") from None
         return code
     except _Failure as exc:
         failure = exc

@@ -20,26 +20,16 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .pregroup import PregroupType, TypeSyntaxError, atom, parse_type
+from .pregroup import PregroupType, TypeSyntaxError, parse_type
 from .tensor import TypedTensor, UnknownBaseError, _finite_float64, _wire_parts, semantic_shape
 
 THEME_BASE = "theta"
 RHEME_BASE = "rho"
 REQUIRED_BASES = ("n", "s", THEME_BASE, RHEME_BASE)
 
-_N = atom("n")
-_RHO = atom(RHEME_BASE)
-_VERB_CANONICAL = parse_type("n.r s n.l")
-_VERB_THEME_LEFT = parse_type("n.r theta")
-_VERB_THEME_RIGHT = parse_type("theta n.l")
-
 
 class LexiconError(ValueError):
     """Malformed lexicon data."""
-
-
-class MissingSenseError(LexiconError):
-    """An entry lacks the base sense a derivation needs."""
 
 
 @dataclass(frozen=True)
@@ -115,9 +105,6 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def words(self) -> list[str]:
-        return sorted(self.entries)
-
     def shared_dim(self) -> int:
         """The common dimension of all bases; errors on mixed assignments."""
         dims = {self.spaces[b] for b in REQUIRED_BASES}
@@ -127,65 +114,6 @@ class Lexicon:
                 + ", ".join(f"{b}={self.spaces[b]}" for b in REQUIRED_BASES)
             )
         return dims.pop()
-
-    def with_intonation_senses(self, mode: str = "theme-left") -> "Lexicon":
-        """Apply :func:`derive_intonation_senses` wherever it applies."""
-        out = {}
-        for word, entry in self.entries.items():
-            try:
-                out[word] = derive_intonation_senses(entry, mode)
-            except MissingSenseError:
-                out[word] = entry
-        return Lexicon(self.spaces, out)
-
-
-def _verb_matrix(entry: LexiconEntry) -> np.ndarray | None:
-    """The word's map from subject space to theme space, if recoverable.
-
-    Preferred source is an explicit intonated sense; failing that, a
-    canonical transitive sense whose sentence axis is one-dimensional
-    (the truth-model lift) squeezes down to the matrix.
-    """
-    for t in (_VERB_THEME_LEFT, _VERB_THEME_RIGHT):
-        s = entry.sense(t)
-        if s is not None:
-            return np.asarray(s.array)
-    s = entry.sense(_VERB_CANONICAL)
-    if s is not None and s.array.shape[1] == 1:
-        return np.asarray(s.array)[:, 0, :]
-    return None
-
-
-def derive_intonation_senses(entry: LexiconEntry, mode: str = "theme-left") -> LexiconEntry:
-    """Extend an entry with the senses intonated composition needs.
-
-    Nouns (entries with a plain ``n`` vector) gain the same vector under
-    ``rho``.  Verbs gain a matrix sense: under ``n.r theta`` when the
-    theme extends rightward from the subject (``mode="theme-left"``, the
-    boundary sits after the verb) or under ``theta n.l`` when the theme
-    is to the right of the boundary (``mode="theme-right"``).  Existing
-    senses are kept; deriving twice is a no-op.  Entries with neither a
-    noun vector nor a recoverable verb matrix raise MissingSenseError.
-    """
-    if mode not in ("theme-left", "theme-right"):
-        raise ValueError(f"unknown mode {mode!r}")
-    added: list[TypedTensor] = []
-    noun = entry.sense(_N)
-    if noun is not None and entry.sense(_RHO) is None:
-        added.append(TypedTensor(_RHO, noun.array))
-    matrix = _verb_matrix(entry)
-    if matrix is not None:
-        wanted = _VERB_THEME_LEFT if mode == "theme-left" else _VERB_THEME_RIGHT
-        if entry.sense(wanted) is None:
-            added.append(TypedTensor(wanted, matrix))
-    if noun is None and matrix is None:
-        raise MissingSenseError(
-            f"word {entry.word!r} has neither a noun vector nor a verb-matrix "
-            "sense to derive intonation senses from"
-        )
-    if not added:
-        return entry
-    return LexiconEntry(entry.word, entry.senses + tuple(added))
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

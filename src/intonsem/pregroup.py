@@ -196,53 +196,12 @@ class ReductionDiagram:
             if i >= j:
                 raise ValueError("links must be (i, j) pairs with i < j")
 
-    def is_planar(self) -> bool:
-        """No two links (i, j), (k, l) interleave as i < k < j < l."""
-        for a, (i, j) in enumerate(self.links):
-            for k, l in self.links[a + 1:]:
-                if i < k < j < l or k < i < l < j:
-                    return False
-        return True
-
-    def replay(self, factors: Sequence[SimpleType]) -> list[SimpleType]:
-        """Apply the links as adjacent cancellations; return the survivors.
-
-        Raises ValueError when some link never becomes an adjacent
-        cancellable pair, i.e. the diagram is not a sound reduction of
-        ``factors``.
-        """
-        if len(factors) != self.size:
-            raise ValueError("diagram size does not match the factor sequence")
-        remaining = list(range(self.size))
-        pending = set(self.links)
-        while pending:
-            for i, j in sorted(pending):
-                k = remaining.index(i) if i in remaining else -1
-                if k >= 0 and k + 1 < len(remaining) and remaining[k + 1] == j \
-                        and cancels(factors[i], factors[j]):
-                    del remaining[k:k + 2]
-                    pending.discard((i, j))
-                    break
-            else:
-                raise ValueError(f"links {sorted(pending)} cannot be cancelled")
-        return [factors[k] for k in remaining]
-
     def to_json(self) -> dict:
         """1-based wire form: {"links": [[i, j], ...], "survivors": [k, ...]}."""
         return {
             "links": [[i + 1, j + 1] for i, j in self.links],
             "survivors": [k + 1 for k in self.survivors],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ReductionDiagram":
-        """Read the wire form; raises ValueError for a crossing diagram."""
-        links = tuple(sorted((i - 1, j - 1) for i, j in obj["links"]))
-        survivors = tuple(sorted(k - 1 for k in obj["survivors"]))
-        diagram = cls(links, survivors, 2 * len(links) + len(survivors))
-        if not diagram.is_planar():
-            raise ValueError(f"links {obj['links']} cross: a reduction diagram is planar")
-        return diagram
 
 
 def flatten(types: Sequence[PregroupType]) -> list[SimpleType]:

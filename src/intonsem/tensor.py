@@ -158,7 +158,7 @@ def compose(
             arr_j, ids_j = parts.pop(owner[j])
             try:
                 arr = _tensordot(arr, ids.index(i), arr_j, ids_j.index(j))
-            except ValueError as exc:  # the merged part outgrows numpy's axis limit
+            except (ValueError, MemoryError) as exc:  # past numpy's axis limit, or out of memory
                 raise ContractionError(f"cannot contract link ({i + 1}, {j + 1}): {exc}") from exc
             for k in ids_j:
                 owner[k] = owner[i]
@@ -169,7 +169,7 @@ def compose(
     for arr, part_ids in rest:
         try:
             out = np.multiply.outer(out, arr)
-        except ValueError as exc:  # the product outgrows numpy's axis limit
+        except (ValueError, MemoryError) as exc:  # past numpy's axis limit, or out of memory
             raise ContractionError(f"cannot fold the unlinked parts: {exc}") from exc
         ids += part_ids
     out = view = out if ids == sorted(ids) else out.transpose(np.argsort(ids))

@@ -1,8 +1,9 @@
 """Independent reference implementations the tests check against.
 
 These deliberately avoid the library's algorithms: reductions are found
-by exhaustively rewriting adjacent cancellable pairs, and contraction is
-a direct sum over all index assignments.  Both are exponential and only
+by exhaustively rewriting adjacent cancellable pairs, a diagram is
+checked by replaying its links as such rewrites, and contraction is a
+direct sum over all index assignments.  Both are exponential and only
 meant for small inputs.  Whole analyses combine the two per span and
 merge the span values with explicit spider tensors.
 """
@@ -40,6 +41,37 @@ def brute_force_reductions(
 
     rec(tuple(range(len(factors))), frozenset())
     return results
+
+
+def is_planar(diagram: ReductionDiagram) -> bool:
+    """No two links (i, j), (k, l) interleave as i < k < j < l."""
+    for a, (i, j) in enumerate(diagram.links):
+        for k, l in diagram.links[a + 1:]:
+            if i < k < j < l or k < i < l < j:
+                return False
+    return True
+
+
+def replay(diagram: ReductionDiagram, factors: list[SimpleType]) -> list[SimpleType]:
+    """Apply the diagram's links as adjacent cancellations; return the
+    survivors.  Raises ValueError when some link never becomes an adjacent
+    cancellable pair, i.e. the diagram is not a sound reduction of
+    ``factors``."""
+    if len(factors) != diagram.size:
+        raise ValueError("diagram size does not match the factor sequence")
+    remaining = list(range(diagram.size))
+    pending = set(diagram.links)
+    while pending:
+        for i, j in sorted(pending):
+            k = remaining.index(i) if i in remaining else -1
+            if k >= 0 and k + 1 < len(remaining) and remaining[k + 1] == j \
+                    and cancels(factors[i], factors[j]):
+                del remaining[k:k + 2]
+                pending.discard((i, j))
+                break
+        else:
+            raise ValueError(f"links {sorted(pending)} cannot be cancelled")
+    return [factors[k] for k in remaining]
 
 
 def brute_force_contractions(

@@ -1,10 +1,14 @@
+import errno
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from _oracles import stable_json_reference
-from intonsem import cli
+from intonsem import cli, tensor
 from intonsem.cli import main
 from intonsem.intonation import meaning, parse_annotated
 from intonsem.tensor import ContractionError, tensor_from_json
@@ -377,6 +381,48 @@ class TestContractionLimit:
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot contract link (2, 81): ")
         assert err.count("\n") == 1
+
+    def test_merge_past_memory_exits_one(self, run, lexicon_path, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(tensor, "_tensordot", no_memory)
+        code, out, err = run("meaning", "Mary likes {R musicals}", "--lexicon", lexicon_path)
+        assert (code, out) == (1, "")
+        assert err == "error: cannot contract link (1, 2): Unable to allocate 1.00 TiB\n"
+
+
+class TestWriteFailures:
+    # the failure is the process's own stdout, so each case runs in a child
+    @staticmethod
+    def _reduce_to(stdout):
+        from conftest import DATA_DIR
+
+        src = str(DATA_DIR.parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        return subprocess.run(
+            [sys.executable, "-m", "intonsem.cli", "reduce", "n n.r s n.l n"],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+
+    def test_closed_pipe_exits_one(self):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = self._reduce_to(w)
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_exits_one(self):
+        with open("/dev/full", "wb") as full:
+            proc = self._reduce_to(full)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
 
 class TestCompare:

@@ -9,9 +9,7 @@ from intonsem.lexicon import (
     Lexicon,
     LexiconEntry,
     LexiconError,
-    MissingSenseError,
     cosine,
-    derive_intonation_senses,
     load_lexicon,
 )
 from intonsem.pregroup import parse_type
@@ -40,9 +38,6 @@ class TestExampleLexicon:
     def test_lookup_missing_word(self, example_lexicon):
         with pytest.raises(LexiconError, match="not in the lexicon"):
             example_lexicon["zebra"]
-
-    def test_words_sorted(self, example_lexicon):
-        assert example_lexicon.words() == sorted(example_lexicon.words())
 
 
 class TestLoadErrors:
@@ -516,76 +511,6 @@ class TestEntryAndLexiconInvariants:
         lex = Lexicon({"n": 2, "s": 1, "theta": 2, "rho": 2}, {})
         with pytest.raises(LexiconError, match="shared space"):
             lex.shared_dim()
-
-
-class TestDeriveIntonationSenses:
-    def test_noun_gains_rheme_vector(self):
-        e = derive_intonation_senses(_entry("ann", ("n", np.array([1.0, 2.0]))))
-        rho = e.sense(parse_type("rho"))
-        assert np.array_equal(rho.array, np.array([1.0, 2.0]))
-
-    def test_idempotent(self):
-        e = derive_intonation_senses(_entry("ann", ("n", np.arange(3.0))))
-        again = derive_intonation_senses(e)
-        assert again.types() == e.types()
-        assert again is e
-
-    def test_verb_matrix_from_explicit_intonated_sense(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        e = derive_intonation_senses(
-            _entry("likes", ("n.r theta", m)), mode="theme-right"
-        )
-        got = e.sense(parse_type("theta n.l"))
-        assert np.array_equal(got.array, m)
-
-    def test_verb_matrix_from_one_dimensional_sentence_axis(self):
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        e = derive_intonation_senses(_entry("likes", ("n.r s n.l", m[:, None, :])))
-        got = e.sense(parse_type("n.r theta"))
-        assert np.array_equal(got.array, m)
-
-    def test_wide_sentence_axis_is_not_squeezed(self):
-        arr = np.zeros((2, 3, 2))
-        with pytest.raises(MissingSenseError):
-            derive_intonation_senses(_entry("likes", ("n.r s n.l", arr)))
-
-    def test_missing_sense(self):
-        e = _entry("a", ("n n.l", np.eye(2)))
-        with pytest.raises(MissingSenseError, match="'a'"):
-            derive_intonation_senses(e)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            derive_intonation_senses(_entry("ann", ("n", np.ones(2))), mode="sideways")
-
-    def test_existing_senses_kept(self):
-        v = np.array([5.0, 6.0])
-        w = np.array([1.0, 1.0])
-        e = derive_intonation_senses(_entry("ann", ("n", v), ("rho", w)))
-        assert np.array_equal(e.sense(parse_type("rho")).array, w)
-
-    def test_lexicon_wide_derivation_skips_inapplicable(self):
-        dims = {"n": 2, "s": 1, "theta": 2, "rho": 2}
-        lex = Lexicon(
-            dims,
-            {
-                "ann": _entry("ann", ("n", np.array([1.0, 0.0]))),
-                "a": _entry("a", ("n n.l", np.eye(2))),
-            },
-        )
-        out = lex.with_intonation_senses()
-        assert out["ann"].sense(parse_type("rho")) is not None
-        assert out["a"].types() == (parse_type("n n.l"),)
-
-    def test_lexicon_wide_derivation_validates_shapes(self):
-        # an intonated matrix must land in n x theta; unequal dims fail
-        dims = {"n": 2, "s": 1, "theta": 3, "rho": 2}
-        lex = Lexicon(
-            dims,
-            {"likes": _entry("likes", ("n.r s n.l", np.ones((2, 1, 2))))},
-        )
-        with pytest.raises(LexiconError, match="shape mismatch"):
-            lex.with_intonation_senses()
 
 
 class TestCosine:

@@ -25,7 +25,9 @@ from _oracles import (
     brute_force_contractions,
     brute_force_reductions,
     inverse_reduce_sequence,
+    is_planar,
     random_type_sequence,
+    replay,
 )
 
 
@@ -150,31 +152,24 @@ class TestReductionDiagram:
     def test_json_round_trip(self):
         d = ReductionDiagram(((0, 1), (3, 4)), (2,), 5)
         assert d.to_json() == {"links": [[1, 2], [4, 5]], "survivors": [3]}
-        assert ReductionDiagram.from_json(d.to_json()) == d
 
     def test_planarity_check(self):
         crossing = ReductionDiagram(((0, 2), (1, 3)), (), 4)
-        assert not crossing.is_planar()
+        assert not is_planar(crossing)
         nested = ReductionDiagram(((0, 3), (1, 2)), (), 4)
-        assert nested.is_planar()
-
-    def test_from_json_rejects_crossing_links(self):
-        with pytest.raises(ValueError, match="cross"):
-            ReductionDiagram.from_json({"links": [[1, 3], [2, 4]], "survivors": [5]})
-        nested = {"links": [[1, 4], [2, 3]], "survivors": [5]}
-        assert ReductionDiagram.from_json(nested).to_json() == nested
+        assert is_planar(nested)
 
     def test_replay_rejects_unsound_diagram(self):
         # a link whose interior never clears cannot be replayed
         factors = list(parse_type("n s n.r"))
         bad = ReductionDiagram(((0, 2),), (1,), 3)
         with pytest.raises(ValueError):
-            bad.replay(factors)
+            replay(bad, factors)
 
     def test_replay_rejects_wrong_length(self):
         d = ReductionDiagram(((0, 1),), (2,), 3)
         with pytest.raises(ValueError, match="^diagram size does not match the factor sequence$"):
-            d.replay(list(parse_type("n n.r")))
+            replay(d, list(parse_type("n n.r")))
 
 
 class TestReduce:
@@ -258,8 +253,8 @@ class TestAgainstBruteForce:
             types = inverse_reduce_sequence(rng, [SimpleType("s")])
             factors = flatten(types)
             for d in reduce(types, atom("s")):
-                assert d.is_planar()
-                assert d.replay(factors) == [SimpleType("s")]
+                assert is_planar(d)
+                assert replay(d, factors) == [SimpleType("s")]
 
 
 def _random_alternatives(rng):
@@ -312,7 +307,7 @@ class TestChart:
         assert len(chain) == 45
         (d,) = reduce([chain], atom("s"))
         assert d.survivors == (2,)
-        assert d.replay(list(chain)) == [SimpleType("s")]
+        assert replay(d, list(chain)) == [SimpleType("s")]
 
 
 def _chain(k):

@@ -1,9 +1,11 @@
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from intonsem import tensor
 from intonsem.pregroup import PregroupType, ReductionDiagram, atom, parse_type, reduce
 from intonsem.tensor import (
     ContractionError,
@@ -20,6 +22,10 @@ from intonsem.tensor import (
 from _oracles import inverse_reduce_sequence, naive_contract
 
 SPACES = {"n": 4, "s": 2, "theta": 3, "rho": 3}
+
+
+def _no_memory(*args):
+    raise MemoryError("Unable to allocate 1.00 TiB for an array")
 
 
 def _random_words(rng, types, spaces=SPACES, low=-2, high=3):
@@ -307,6 +313,19 @@ class TestCompose:
         w = TypedTensor(PregroupType(atom("n").factors * 40), np.ones((1,) * 40))
         with pytest.raises(ContractionError, match="cannot fold the unlinked parts"):
             compose([w, w], ReductionDiagram((), tuple(range(80)), 80))
+
+    def test_merge_past_memory_raises_contraction_error(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_tensordot", _no_memory)
+        n = TypedTensor(atom("n"), np.ones(4))
+        verb = TypedTensor(parse_type("n.r s"), np.ones((4, 2)))
+        with pytest.raises(ContractionError, match=r"^cannot contract link \(1, 2\): Unable to"):
+            compose([n, verb], ReductionDiagram(((0, 1),), (2,), 3))
+
+    def test_fold_past_memory_raises_contraction_error(self, monkeypatch):
+        monkeypatch.setattr(np, "multiply", SimpleNamespace(outer=_no_memory))
+        w = TypedTensor(atom("n"), np.ones(4))
+        with pytest.raises(ContractionError, match="^cannot fold the unlinked parts: Unable to"):
+            compose([w, w], ReductionDiagram((), (0, 1), 2))
 
     def test_matches_naive_oracle_on_random_reductions(self):
         rng = np.random.default_rng(21)
