@@ -5,11 +5,11 @@ Output is deterministic: floats are printed with 17 significant digits
 no timestamps or environment data appear.  Exit codes: 0 success, 1
 semantic or structural failure (no reduction, infelicitous structure,
 cross-order comparison, float64 overflow, a contraction past numpy's
-limit on array axes, a merge that does not fit in memory, an answer that
-stdout cannot take: ``error: cannot write output: <reason>``), 2 input
-error (bad arguments or syntax, unknown word or individual, unreadable
-or malformed file).  Commands return their answer; ``main`` is the only
-writer of stdout and stderr.
+limit on array axes, a merge that does not fit in memory, an answer or
+help that stdout cannot take: ``error: cannot write output: <reason>``),
+2 input error (bad arguments or syntax, unknown word or individual,
+unreadable or malformed file); an ``error:`` line that stderr cannot take
+keeps its code.  Commands return their answer; ``main`` is the only writer.
 """
 
 from __future__ import annotations
@@ -54,10 +54,24 @@ class _Failure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors take the one ``error:`` line path, with exit 2."""
+    """Argument errors take the one ``error:`` line path, with exit 2; help takes ``_write``."""
 
     def error(self, message):
         raise _Failure(2, message)
+
+    def _print_message(self, message, file=None):
+        _write(message, file or sys.stderr)
+
+
+def _write(text: str, stream) -> None:
+    """Write and flush ``text``.  A closed or full stream gets devnull at its fd, for the
+    flush at exit; on stdout that fails with exit 1, on stderr the exit code stands."""
+    try:
+        print(text, end="", file=stream, flush=True)
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        if stream is sys.stdout:
+            raise _Failure(1, f"cannot write output: {exc.strerror}") from None
 
 
 def _fmt_float(x: float) -> str:
@@ -365,11 +379,7 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise"):
             code, document, lines = args.func(args)
         json_out = document is not None and args.format == "json"
-        try:
-            print(_stable_json(document) if json_out else "\n".join(lines), flush=True)
-        except OSError as exc:  # stdout closed or full: devnull takes the exit-time flush
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise _Failure(1, f"cannot write output: {exc.strerror}") from None
+        _write((_stable_json(document) if json_out else "\n".join(lines)) + "\n", sys.stdout)
         return code
     except _Failure as exc:
         failure = exc
@@ -383,7 +393,7 @@ def main(argv=None) -> int:
         failure = _Failure(1, str(exc))
     except FloatingPointError as exc:
         failure = _Failure(1, f"the result is not finite in float64 ({exc})")
-    print(f"error: {failure}", file=sys.stderr)
+    _write(f"error: {failure}\n", sys.stderr)
     return failure.code
 
 

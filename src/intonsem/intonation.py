@@ -33,7 +33,7 @@ from .pregroup import (
     closest_residual,
     reduce,
 )
-from .tensor import TypedTensor, compose
+from .tensor import TypedTensor, _read_only_float64, compose
 
 THEME = "theme"
 RHEME = "rheme"
@@ -155,10 +155,8 @@ class SentenceMeaning:
     array: np.ndarray
     pattern: str
 
-    def __post_init__(self):
-        arr = np.array(self.array, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "array", arr)
+    def __post_init__(self):  # kept or copied as a TypedTensor's array is
+        object.__setattr__(self, "array", _read_only_float64(self.array))
 
     @property
     def order(self) -> int:
@@ -253,6 +251,7 @@ def type_spans(
 def _analysis(pattern: str, spec: str, typings: tuple[SpanTyping, ...]) -> Analysis:
     values = tuple(t.value for t in typings)
     arr = np.einsum(spec, *(v.array for v in values))
+    arr.setflags(write=False)  # einsum's own, so the meaning keeps it
     return Analysis(pattern, typings, values, SentenceMeaning(arr, pattern))
 
 

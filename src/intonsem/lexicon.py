@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -49,10 +49,7 @@ class LexiconEntry:
             seen.add(s.type)
 
     def sense(self, type_: PregroupType) -> TypedTensor | None:
-        for s in self.senses:
-            if s.type == type_:
-                return s
-        return None
+        return next((s for s in self.senses if s.type == type_), None)
 
     def types(self) -> tuple[PregroupType, ...]:
         return tuple(s.type for s in self.senses)
@@ -72,17 +69,17 @@ def _check_shape(
         )
 
 
-class Lexicon:
-    """A space assignment plus word entries, validated against it."""
+class Lexicon(dict):
+    """A dict from word to entry, validated against a space assignment, ``spaces``."""
 
     def __init__(self, spaces: Mapping[str, int], entries: Mapping[str, LexiconEntry]):
         for base in REQUIRED_BASES:
             if base not in spaces:
                 raise LexiconError(f"space assignment is missing base {base!r}")
+        super().__init__(entries)
         self.spaces: dict[str, int] = dict(spaces)
-        self.entries: dict[str, LexiconEntry] = dict(entries)
         fits = set()  # the (type, shape) pairs checked so far
-        for word, entry in self.entries.items():
+        for word, entry in self.items():
             if word != entry.word:
                 raise LexiconError(f"entry for {entry.word!r} filed under {word!r}")
             for s in entry.senses:
@@ -90,20 +87,8 @@ class Lexicon:
                     _check_shape(word, s.type, s.array.shape, self.spaces)
                     fits.add((s.type, s.array.shape))
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
-    def __getitem__(self, word: str) -> LexiconEntry:
-        try:
-            return self.entries[word]
-        except KeyError:
-            raise LexiconError(f"word {word!r} is not in the lexicon") from None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __missing__(self, word: str) -> LexiconEntry:
+        raise LexiconError(f"word {word!r} is not in the lexicon")
 
     def shared_dim(self) -> int:
         """The common dimension of all bases; errors on mixed assignments."""
@@ -186,7 +171,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
     # One pass: each distinct type string is parsed, and each (type string, shape)
     # checked, once; all data goes through one float64 conversion into one buffer.
-    parse, fits, sidecars, files, inline, flat = functools.cache(parse_type), set(), {}, {}, [], []
+    parse, load = functools.cache(parse_type), functools.cache(_load_sidecar)
+    fits, inline, flat = set(), [], []
     senses: dict[str, list[tuple[PregroupType, int, tuple[int, ...]]]] = {}  # (type, start, shape)
     try:
         for k, item in enumerate(raw["entries"], start=1):
@@ -203,17 +189,10 @@ def load_lexicon(path: str | Path) -> Lexicon:
                         raise LexiconError(f"data_ref sidecars hold vectors, but type "
                                            f"'{type_}' has {len(type_)} factors")
                     ref = item["data_ref"]
-                    if ref not in sidecars:
-                        full = path.parent / ref
-                        try:  # one read per file, however it is spelled
-                            st = full.stat()  # (inode, device) names a file, unless the inode is 0
-                            file = (st.st_ino, st.st_dev) if st.st_ino else ref
-                            sidecars[ref] = files[file] = files.get(file) or _load_sidecar(full)
-                        except (OSError, LexiconError):  # again: errors name the resolved path
-                            sidecars[ref] = _load_sidecar(full.resolve())
-                    if word not in sidecars[ref]:
+                    rows = load((path.parent / ref).resolve())  # one read per resolved path
+                    if word not in rows:
                         raise LexiconError(f"sidecar {ref!r} has no row for {word!r}")
-                    shape, data = sidecars[ref][word]
+                    shape, data = rows[word]
                 else:
                     shape, data = _wire_parts(item)
                     inline.append((k, item))
@@ -241,5 +220,5 @@ def load_lexicon(path: str | Path) -> Lexicon:
         lexicon = Lexicon(dims, {})
     except LexiconError as exc:
         raise LexiconError(f"{path}: {exc}") from exc
-    lexicon.entries = entries  # not through Lexicon(): every shape was checked above
+    lexicon.update(entries)  # not through Lexicon(): every shape was checked above
     return lexicon

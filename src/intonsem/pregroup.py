@@ -25,9 +25,9 @@ filled cells, at a cost that grows with the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class TypeSyntaxError(ValueError):
@@ -38,9 +38,8 @@ class TypeSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class SimpleType:
-    """An atomic base with an integer adjoint order.
+class SimpleType(NamedTuple):
+    """An atomic base with an integer adjoint order: a ``(base, z)`` tuple.
 
     >>> n = SimpleType("n")
     >>> print(n.r)
@@ -72,9 +71,8 @@ def cancels(left: SimpleType, right: SimpleType) -> bool:
     return left.base == right.base and right.z == left.z + 1
 
 
-@dataclass(frozen=True)
-class PregroupType:
-    """A juxtaposition of simple types; the empty tuple is the unit.
+class PregroupType(tuple):
+    """A juxtaposition of simple types: the immutable tuple of its factors, () the unit.
 
     >>> s = parse_type("n.r s n.l")
     >>> print(s.r)
@@ -85,42 +83,41 @@ class PregroupType:
     0
     """
 
-    factors: tuple[SimpleType, ...] = ()
-
-    def __post_init__(self):
-        if not all(isinstance(f, SimpleType) for f in self.factors):
+    def __new__(cls, factors: Iterable[SimpleType] = ()):
+        self = tuple.__new__(cls, factors)
+        if not all([isinstance(f, SimpleType) for f in self]):
             raise TypeError("factors must be SimpleType instances")
+        return self
 
-    # computed once per type, as r and l are (span typing hashes its targets on every call);
-    # pickle and copy rebuild a type from its factors, since str hashes differ between processes
-    _hash = cached_property(lambda self: hash(self.factors))
-    __hash__ = lambda self: self._hash  # noqa: E731
-    __reduce__ = lambda self: (PregroupType, (self.factors,))  # noqa: E731
+    def __setattr__(self, name, value):  # cached_property writes __dict__ directly
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __len__(self) -> int:
-        return len(self.factors)
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __iter__(self) -> Iterator[SimpleType]:
-        return iter(self.factors)
+    # pickle and copy rebuild a type from its factors, leaving the cached adjoints behind
+    __reduce__ = lambda self: (PregroupType, (tuple(self),))  # noqa: E731
+    __repr__ = lambda self: f"PregroupType(factors={tuple(self)!r})"  # noqa: E731
+    factors = property(tuple, doc="The factors as a plain tuple.")
 
     def __getitem__(self, i):
-        got = self.factors[i]
+        got = tuple.__getitem__(self, i)
         return PregroupType(got) if isinstance(i, slice) else got
 
     def __matmul__(self, other: "PregroupType") -> "PregroupType":
-        return PregroupType(self.factors + other.factors)
+        return PregroupType(tuple.__add__(self, other))
 
     @cached_property
     def l(self) -> "PregroupType":
         # The adjoint of a product reverses the order of the factors.
-        return PregroupType(tuple(f.l for f in reversed(self.factors)))
+        return PregroupType([f.l for f in self][::-1])
 
     @cached_property
     def r(self) -> "PregroupType":
-        return PregroupType(tuple(f.r for f in reversed(self.factors)))
+        return PregroupType([f.r for f in self][::-1])
 
     def __str__(self) -> str:
-        return " ".join(str(f) for f in self.factors)
+        return " ".join([str(f) for f in self])
 
 
 def atom(name: str, z: int = 0) -> PregroupType:
@@ -168,7 +165,7 @@ def parse_type(text: str) -> PregroupType:
                     f"unexpected character {text[i]!r} after adjoint suffix", offset(i)
                 )
         factors.append(SimpleType(base, z))
-    return PregroupType(tuple(factors))
+    return PregroupType(factors)
 
 
 @dataclass(frozen=True)
@@ -229,31 +226,30 @@ class _Chart:
     def __init__(self, alternatives: Sequence[Sequence[PregroupType]]):
         self.bounds = [0]
         self.out: list[list[int]] = [[]]
-        # per edge: (source gap, word, sense, position in the sense, factor)
-        self.edges: list[tuple[int, int, int, int, SimpleType | None]] = []
+        # per edge: (source gap, word, sense, position in the sense); key[e] is its factor
+        self.edges: list[tuple[int, int, int, int]] = []
         self.dst: list[int] = []
-        self.key: list[tuple[str, int] | None] = []
-        # (base, z) -> bit set of the gaps that edges with that factor leave
-        self.starts: dict[tuple[str, int], int] = {}
+        self.key: list[SimpleType | None] = []
+        # factor -> bit set of the gaps that edges with that factor leave
+        self.starts: dict[SimpleType, int] = {}
         out, edges, dst, key, starts = self.out, self.edges, self.dst, self.key, self.starts
         for w, senses in enumerate(alternatives):
             b, finals = len(out) - 1, []
             for s, t in enumerate(senses):
                 g, f = b, 0
-                for x in t.factors:
+                for x in t:
                     if f:
                         g = len(out)
                         dst.append(g)
                         out.append([])
                     out[g].append(len(edges))
-                    edges.append((g, w, s, f, x))
-                    k = x.base, x.z
-                    key.append(k)
-                    starts[k] = starts.get(k, 0) | 1 << g
+                    edges.append((g, w, s, f))
+                    key.append(x)
+                    starts[x] = starts.get(x, 0) | 1 << g
                     f += 1
                 if not f:  # the empty sense: one edge with no factor
                     out[b].append(len(edges))
-                    edges.append((b, w, s, 0, None))
+                    edges.append((b, w, s, 0))
                     key.append(None)
                 finals.append(len(dst))
                 dst.append(-1)  # the next boundary, known once the word is laid out
@@ -277,7 +273,7 @@ class _Chart:
                 if k is None:
                     reach |= unit[dst[e]]
                     continue
-                want = k[0], k[1] + 1
+                want = k[0], k[1] + 1  # a plain tuple equals, and hashes as, the factor
                 found = []
                 ends = unit[dst[e]] & starts.get(want, 0)
                 while ends:  # each gap where a cancelling inside can end
@@ -295,7 +291,8 @@ class _Chart:
         The last word is a target's right adjoint: factors linked into it
         are the survivors.  Only states that lead to a reduction are
         pushed, in reverse, so paths come out in edge-choice order."""
-        out, dst, edges, unit, partners = self.out, self.dst, self.edges, self.unit, self.partners
+        out, dst, edges, key = self.out, self.dst, self.edges, self.key
+        unit, partners = self.unit, self.partners
         last, end = len(self.bounds) - 2, self.end
         # An entry: the gap reached; the pending link ends, a linked list of
         # (left position or None for a survivor, right edge, rest) that the
@@ -316,9 +313,9 @@ class _Chart:
                 yield senses, ReductionDiagram(tuple(sorted(links)), survivors, position)
                 continue
             for e in reversed(out[g]):
-                _, w, s, f, x = edges[e]
+                _, w, s, f = edges[e]
                 chosen = senses if f or w == last else senses + (s,)
-                if x is None:  # an empty sense, or the unit target
+                if key[e] is None:  # an empty sense, or the unit target
                     if unit[dst[e]] >> b & 1:
                         stack.append((dst[e], ends, chosen, position, links, survivors))
                     continue
@@ -332,7 +329,7 @@ class _Chart:
 def _check(words: Sequence, target: PregroupType) -> None:
     if len(words) == 0:
         raise ValueError("need at least one type to reduce")
-    if any([f.z for f in target.factors]):
+    if any([f.z for f in target]):
         raise ValueError("target must consist of plain factors")
 
 
@@ -406,9 +403,9 @@ def closest_residual(alternatives: Sequence[Sequence[PregroupType]]) -> Pregroup
             g = keep[0]
             continue
         if chart.key[e] is not None:
-            left.append(chart.edges[e][4])
+            left.append(chart.key[e])
         g = chart.dst[e]
-    return PregroupType(tuple(left))
+    return PregroupType(left)
 
 
 def reduce(

@@ -53,21 +53,15 @@ def semantic_shape(type_: PregroupType, spaces: Mapping[str, int]) -> tuple[int,
 class TypedTensor:
     """A tensor together with the pregroup type labelling its axes.
 
-    The array is kept when C-contiguous float64 and read-only down to its
-    memory's owner, else copied into one; a TypedTensor is immutable.  Its
-    order must match the type's factor count; the unit type carries a scalar.
+    The array is kept or copied as :func:`_read_only_float64` says; a TypedTensor is
+    immutable.  Its order must match the type's factor count; the unit type carries a scalar.
     """
 
     type: PregroupType
     array: np.ndarray
 
     def __post_init__(self):
-        arr = base = self.array
-        while type(base) is np.ndarray and not base.flags.writeable:
-            base = base.base  # down to the memory's owner, whose base is None
-        if base is not None or arr.dtype != np.float64 or not arr.flags.c_contiguous:
-            arr = np.array(arr, dtype=np.float64, order="C")
-            arr.setflags(write=False)
+        arr = _read_only_float64(self.array)
         if arr.ndim != len(self.type):
             raise ContractionError(
                 f"tensor order {arr.ndim} does not match type "
@@ -78,6 +72,17 @@ class TypedTensor:
     @property
     def order(self) -> int:
         return self.array.ndim
+
+
+def _read_only_float64(arr) -> np.ndarray:
+    """``arr`` if C-contiguous float64 and read-only down to its owner, else a read-only copy."""
+    base = arr
+    while type(base) is np.ndarray and not base.flags.writeable:
+        base = base.base  # down to the memory's owner, whose base is None
+    if base is not None or arr.dtype != np.float64 or not arr.flags.c_contiguous:
+        arr = np.array(arr, dtype=np.float64, order="C")
+        arr.setflags(write=False)
+    return arr
 
 
 def eta(dim: int) -> np.ndarray:
@@ -124,7 +129,7 @@ def compose(
     ``np.trace``.  The parts left are folded by outer products and
     transposed into ascending survivor order, into the read-only result.
     """
-    factors = [f for w in words for f in w.type.factors]
+    factors = [f for w in words for f in w.type]
     if diagram.size != len(factors):
         raise ContractionError(
             f"diagram covers {diagram.size} factors but the words have {len(factors)}"
@@ -175,7 +180,7 @@ def compose(
     out = view = out if ids == sorted(ids) else out.transpose(np.argsort(ids))
     while view is not None and view.flags.writeable:  # compose's own: the words' are read-only
         view.flags.writeable, view = False, view.base
-    return TypedTensor(PregroupType(tuple([factors[k] for k in diagram.survivors])), out)
+    return TypedTensor(PregroupType([factors[k] for k in diagram.survivors]), out)
 
 
 def _tensordot(a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:

@@ -393,9 +393,9 @@ class TestContractionLimit:
 
 
 class TestWriteFailures:
-    # the failure is the process's own stdout, so each case runs in a child
+    # the failure is the process's own stdout or stderr, so each case runs in a child
     @staticmethod
-    def _reduce_to(stdout):
+    def _child(argv, stdout, stderr):
         from conftest import DATA_DIR
 
         src = str(DATA_DIR.parent.parent)
@@ -403,9 +403,13 @@ class TestWriteFailures:
             filter(None, [src, os.environ.get("PYTHONPATH")])
         )}
         return subprocess.run(
-            [sys.executable, "-m", "intonsem.cli", "reduce", "n n.r s n.l n"],
-            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+            [sys.executable, "-m", "intonsem.cli", *argv],
+            stdout=stdout, stderr=stderr, env=env, timeout=60,
         )
+
+    @staticmethod
+    def _reduce_to(stdout):
+        return TestWriteFailures._child(["reduce", "n n.r s n.l n"], stdout, subprocess.PIPE)
 
     def test_closed_pipe_exits_one(self):
         r, w = os.pipe()
@@ -421,6 +425,20 @@ class TestWriteFailures:
     def test_full_device_exits_one(self):
         with open("/dev/full", "wb") as full:
             proc = self._reduce_to(full)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stderr_keeps_the_failures_exit_code(self):
+        with open("/dev/full", "wb") as full:
+            proc = self._child(["reduce", "n$"], subprocess.PIPE, full)
+        assert proc.returncode == 2  # a type syntax error
+        assert proc.stdout == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_help_to_a_full_device_exits_one(self):
+        with open("/dev/full", "wb") as full:
+            proc = self._child(["meaning", "--help"], full, subprocess.PIPE)
         assert proc.returncode == 1
         assert proc.stderr.decode() == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
 

@@ -15,6 +15,7 @@ from intonsem.intonation import (
     AnnotatedSentence,
     AnnotationSyntaxError,
     InfelicitousStructure,
+    SentenceMeaning,
     Span,
     analyses,
     boundary_contraction,
@@ -292,6 +293,25 @@ class TestSingleRhemeMeaning:
         want = (mary @ verb) * rheme
         got = meaning(parse_annotated("Mary likes {R musicals}"), example_lexicon)
         assert np.array_equal(got.array, want)
+
+    def test_meaning_keeps_the_einsum_result(self, example_lexicon, monkeypatch):
+        made, einsum = [], np.einsum
+
+        def recording(*args):
+            made.append(einsum(*args))
+            return made[-1]
+
+        monkeypatch.setattr(intonation.np, "einsum", recording)
+        got = meaning(parse_annotated("Mary likes {R musicals}"), example_lexicon)
+        assert got.array is made[-1] and not got.array.flags.writeable
+
+    def test_sentence_meaning_copies_a_writable_array_only(self):
+        src = np.arange(3.0)
+        got = SentenceMeaning(src, PATTERN_SINGLE)
+        src[0] = 9.0
+        assert got.array is not src and got.array[0] == 0.0 and not got.array.flags.writeable
+        src.setflags(write=False)
+        assert SentenceMeaning(src, PATTERN_SINGLE).array is src
 
     def test_rheme_first_orientation_same_value(self, example_lexicon):
         a = meaning(parse_annotated("{R musicals} {T Mary likes}"), example_lexicon)

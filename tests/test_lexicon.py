@@ -503,6 +503,30 @@ class TestEntryAndLexiconInvariants:
         entries = {w: _entry(w, ("n", np.zeros(4))) for w in ("cat", "ann", "bob")}
         assert list(Lexicon(DIMS, entries)) == ["cat", "ann", "bob"]
 
+    def test_a_lexicon_is_a_dict_of_its_entries(self):
+        entries = {w: _entry(w, ("n", np.zeros(4))) for w in ("cat", "ann", "bob")}
+        lex = Lexicon(DIMS, entries)
+        assert "ann" in lex and "zebra" not in lex and len(lex) == 3
+        assert list(lex) == list(lex.keys()) == ["cat", "ann", "bob"]
+        assert [e.word for e in lex.values()] == ["cat", "ann", "bob"]
+        assert lex == entries and lex["bob"] is entries["bob"]
+
+    def test_unknown_word_raises_lexicon_error(self):
+        lex = Lexicon(DIMS, {"ann": _entry("ann", ("n", np.zeros(4)))})
+        with pytest.raises(LexiconError, match="^word 'zebra' is not in the lexicon$"):
+            lex["zebra"]
+        assert lex.get("zebra") is None
+
+    def test_loaded_words_follow_the_file(self, write_lexicon):
+        words = ["bob", "ann", "cat", "ann"]
+        p = write_lexicon({"dims": {"n": 1, "s": 1, "theta": 1, "rho": 1}, "entries": [
+            {"word": w, "type": t, "shape": [1], "data": [1]}
+            for w, t in zip(words, ["n", "n", "n", "rho"])
+        ]})
+        lex = load_lexicon(p)
+        assert list(lex) == ["bob", "ann", "cat"] and len(lex) == 3
+        assert lex["ann"].types() == (parse_type("n"), parse_type("rho"))
+
     def test_lexicon_requires_intonation_bases(self):
         with pytest.raises(LexiconError, match="rho"):
             Lexicon({"n": 2, "s": 1, "theta": 2}, {})

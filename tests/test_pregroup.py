@@ -141,6 +141,34 @@ class TestTypeAlgebra:
         with pytest.raises(TypeError, match="^factors must be SimpleType instances$"):
             PregroupType(("n",))
 
+    def test_a_factor_is_its_base_and_order_tuple(self):
+        assert SimpleType("n", 1) == ("n", 1) and hash(SimpleType("n", 1)) == hash(("n", 1))
+        assert parse_type("n.r s") == (("n", 1), ("s", 0))
+        assert {("n", 1): "found"}[parse_type("n").r[0]] == "found"
+        with pytest.raises(AttributeError):
+            SimpleType("n").z = 1
+
+    def test_factors_is_a_plain_tuple_and_a_slice_a_type(self):
+        t = parse_type("n.r s n.l")
+        assert type(t.factors) is tuple and t.factors == tuple(t) == t
+        assert type(t[1:]) is PregroupType and t[1:] == parse_type("s n.l")
+        assert type(t @ t) is PregroupType and len(t @ t) == 6
+
+    def test_repr_names_the_factors(self):
+        assert repr(parse_type("n.r s")) == (
+            "PregroupType(factors=(SimpleType(base='n', z=1), SimpleType(base='s', z=0)))"
+        )
+
+    @pytest.mark.parametrize("name", ["factors", "l", "r", "other"])
+    def test_attributes_can_be_neither_assigned_nor_deleted(self, name):
+        t = parse_type("n.r s")
+        t.l, t.r  # cached
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(t, name, parse_type("n"))
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(t, name)
+        assert t == parse_type("n.r s") and t.l == parse_type("s.l n") and t.r == parse_type("s.r n.r.r")
+
 
 class TestReductionDiagram:
     def test_partition_enforced(self):

@@ -66,7 +66,10 @@ def _calls():
     universe = wl.ROOT / wl.MIX_UNIVERSE
 
     theta, rho = atom("theta"), atom("rho")
+    chain = wl.chain_types(16)  # 37 factors: long-spans' longest reduce input
     return [
+        ("parse_type_chain_37_us", lambda: parse_type(chain)),
+        ("load_lexicon_long_spans_us", lambda: load_lexicon(wl.ROOT / wl.LONG_LEXICON)),
         ("chart_reductions_1_word_us", lambda: chart_reductions(rheme, rho)),
         ("chart_reductions_8_word_theme_us", lambda: chart_reductions(theme, theta)),
         ("epsilon_contract_d32_us", lambda: epsilon_contract(subject, 0, relation, 0)),
