@@ -2,77 +2,29 @@
 composition: theme/rheme spans, intonational boundaries as Frobenius
 merges, and a truth-theoretic set model."""
 
-from .frobenius import (
-    Spider,
-    boundary_tensor,
-    delta,
-    delta_tensor,
-    frobenius_condition_check,
-    fuse,
-    iota,
-    mu,
-    mu_tensor,
-    spider,
-    zeta,
-)
-from .intonation import (
-    AnnotatedSentence,
-    Analysis,
-    AnnotationSyntaxError,
-    InfelicitousStructure,
-    SentenceMeaning,
-    Span,
-    SpanTyping,
-    analyses,
-    boundary_contraction,
-    copy_expand,
-    meaning,
-    meaning_multiple_rhemes,
-    meaning_split_theme,
-    parse_annotated,
-    type_spans,
-)
-from .lexicon import (
-    Lexicon,
-    LexiconEntry,
-    LexiconError,
-    cosine,
-    load_lexicon,
-)
-from .pregroup import (
-    PregroupType,
-    ReductionDiagram,
-    SimpleType,
-    TypeSyntaxError,
-    atom,
-    cancels,
-    flatten,
-    grammatical,
-    parse_type,
-    reduce,
-)
-from .tensor import (
-    ContractionError,
-    TypedTensor,
-    UnknownBaseError,
-    compose,
-    epsilon_contract,
-    eta,
-    semantic_shape,
-    tensor_from_json,
-    tensor_to_json,
-)
-from .truth import (
-    Relation,
-    Universe,
-    UniverseError,
-    UnknownIndividualError,
-    intersect,
-    load_universe,
-    membership,
-    relation_lift,
-    theme_vector,
-    theme_vector_composed,
-)
+import importlib
 
+# Each name is imported from its module when first used (PEP 562): pregroup alone loads no numpy.
+_TABLE = """frobenius: Spider boundary_tensor delta delta_tensor frobenius_condition_check fuse
+iota mu mu_tensor spider zeta; intonation: AnnotatedSentence Analysis AnnotationSyntaxError
+InfelicitousStructure SentenceMeaning Span SpanTyping analyses boundary_contraction copy_expand
+meaning meaning_multiple_rhemes meaning_split_theme parse_annotated type_spans; lexicon: Lexicon
+LexiconEntry LexiconError cosine load_lexicon; pregroup: PregroupType ReductionDiagram SimpleType
+TypeSyntaxError atom cancels flatten grammatical parse_type reduce; tensor: ContractionError
+TypedTensor UnknownBaseError compose epsilon_contract eta semantic_shape tensor_from_json
+tensor_to_json; truth: Relation Universe UniverseError UnknownIndividualError intersect
+load_universe membership relation_lift theme_vector theme_vector_composed"""
+_MODULE = {name: module.strip() for part in _TABLE.split(";")
+           for module, names in [part.split(":")] for name in names.split()}
+__all__ = list(_MODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -10,6 +10,9 @@ help that stdout cannot take: ``error: cannot write output: <reason>``),
 2 input error (bad arguments or syntax, unknown word or individual,
 unreadable or malformed file); an ``error:`` line that stderr cannot take
 keeps its code.  Commands return their answer; ``main`` is the only writer.
+numpy and the modules built on it are imported by the commands that
+compute, so ``reduce`` on a type string, ``--help`` and argument errors
+run without numpy.
 """
 
 from __future__ import annotations
@@ -21,26 +24,7 @@ import os
 import sys
 from json.encoder import encode_basestring, encode_basestring_ascii
 
-import numpy as np
-
-from . import intonation
-from .frobenius import Spider, delta, frobenius_condition_check, fuse, mu, spider, zeta
-from .intonation import (
-    AnnotationSyntaxError,
-    InfelicitousStructure,
-    analyses,
-    parse_annotated,
-)
-from .lexicon import LexiconError, _unit_scaled, cosine, load_lexicon
 from .pregroup import TypeSyntaxError, atom, chart_reductions, flatten, parse_type
-from .tensor import ContractionError, TypedTensor, compose, epsilon_contract, eta, tensor_to_json
-from .truth import (
-    UniverseError,
-    UnknownIndividualError,
-    intersect,
-    load_universe,
-    theme_vector,
-)
 
 _JSON_BASES = ((float, float), (str, str.__str__), (dict, lambda d: dict(d.items())), (list, list))
 
@@ -63,6 +47,22 @@ class _Parser(argparse.ArgumentParser):
         _write(message, file or sys.stderr)
 
 
+_MAPS = ("delta", "mu", "fuse")  # selfcheck reads them from this module, where they may be swapped
+
+
+def __getattr__(name: str):
+    if name not in _MAPS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import frobenius
+    return getattr(frobenius, name)
+
+
+def _raising():
+    """numpy's error state for computing commands: float64 overflow and invalid values raise."""
+    import numpy as np
+    return np.errstate(over="raise", invalid="raise")
+
+
 def _write(text: str, stream) -> None:
     """Write and flush ``text``.  A closed or full stream gets devnull at its fd, for the
     flush at exit; on stdout that fails with exit 1, on stderr the exit code stands."""
@@ -72,10 +72,6 @@ def _write(text: str, stream) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         if stream is sys.stdout:
             raise _Failure(1, f"cannot write output: {exc.strerror}") from None
-
-
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _stable_json(obj) -> str:
@@ -98,11 +94,6 @@ def _stable_json(obj) -> str:
         if isinstance(obj, base):
             return _stable_json(convert(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _vec_text(tensor: dict) -> str:
-    """The row-major data of a wire tensor (``{"shape", "data"}``)."""
-    return "[" + ", ".join(map(_fmt_float, tensor["data"])) + "]"
 
 
 def _emit_dot(factors, diagram):
@@ -129,7 +120,9 @@ def cmd_reduce(args):
     if not words:
         raise _Failure(2, "empty input")
     if args.lexicon:
-        lex = load_lexicon(args.lexicon)
+        from .lexicon import load_lexicon
+        with _raising():
+            lex = load_lexicon(args.lexicon)
         alternatives = [lex[w].types() for w in words]
     else:
         alternatives = [[parse_type(args.input)]]
@@ -168,7 +161,8 @@ def cmd_reduce(args):
     return (0 if out["grammatical"] else 1), out, text()
 
 
-def _analysis_json(a: intonation.Analysis) -> dict:
+def _analysis_json(a) -> dict:
+    from .tensor import tensor_to_json
     spans = [
         {
             "role": typing.span.role,
@@ -186,7 +180,8 @@ def _analysis_json(a: intonation.Analysis) -> dict:
     }
 
 
-def _finite(m: intonation.SentenceMeaning) -> intonation.SentenceMeaning:
+def _finite(m):
+    import numpy as np
     # np.einsum, which combines the spans, sets no floating-point flags
     if not np.isfinite(m.array).all():
         raise FloatingPointError("overflow encountered in einsum")
@@ -194,49 +189,54 @@ def _finite(m: intonation.SentenceMeaning) -> intonation.SentenceMeaning:
 
 
 def cmd_meaning(args):
-    lex = load_lexicon(args.lexicon)
-    sentence = parse_annotated(args.sentence)
-    out = {
-        "sentence": str(sentence),
-        "analyses": [_analysis_json(a) for a in analyses(sentence, lex)],
-    }
+    from .intonation import analyses, parse_annotated
+    from .lexicon import load_lexicon
+    with _raising():
+        lex = load_lexicon(args.lexicon)
+        sentence = parse_annotated(args.sentence)
+        out = {
+            "sentence": str(sentence),
+            "analyses": [_analysis_json(a) for a in analyses(sentence, lex)],
+        }
 
     def text():
         yield out["sentence"]
         for k, a in enumerate(out["analyses"], start=1):
             yield f"analysis {k}: pattern {a['pattern']}"
             for span in a["spans"]:
-                words = " ".join(span["tokens"])
-                yield f"  {span['role']} '{words}' -> {span['type']}: " + _vec_text(span["value"])
-            yield f"  meaning (order {len(a['meaning']['shape'])}): " + _vec_text(a["meaning"])
+                words, data = " ".join(span["tokens"]), _stable_json(span["value"]["data"])
+                yield f"  {span['role']} '{words}' -> {span['type']}: {data}"
+            m = a["meaning"]
+            yield f"  meaning (order {len(m['shape'])}): {_stable_json(m['data'])}"
     return 0, out, text()
 
 
 def cmd_compare(args):
     if not args.tolerance >= 0:  # also catches NaN
         raise _Failure(2, f"--tolerance must be a non-negative number, got {args.tolerance}")
-    lex = load_lexicon(args.lexicon)
-    ma = _finite(intonation.meaning(parse_annotated(args.a), lex))
-    mb = _finite(intonation.meaning(parse_annotated(args.b), lex))
-    if ma.order != mb.order:
-        raise _Failure(
-            1,
-            f"cannot compare a meaning of order {ma.order} with one of "
-            f"order {mb.order}: they live in different spaces",
-        )
-    va, vb = ma.array.ravel(), mb.array.ravel()
-    try:
-        c = cosine(va, vb)
-    except ValueError as exc:
-        raise _Failure(1, str(exc)) from exc
-    diff, e = _unit_scaled(va - vb)
-    dist = float(np.ldexp(np.linalg.norm(diff), e))
+    import numpy as np
+    from .intonation import meaning, parse_annotated
+    from .lexicon import _unit_scaled, cosine, load_lexicon
+    with _raising():
+        lex = load_lexicon(args.lexicon)
+        ma = _finite(meaning(parse_annotated(args.a), lex))
+        mb = _finite(meaning(parse_annotated(args.b), lex))
+        if ma.order != mb.order:
+            raise _Failure(1, f"cannot compare a meaning of order {ma.order} with one of "
+                           f"order {mb.order}: they live in different spaces")
+        va, vb = ma.array.ravel(), mb.array.ravel()
+        try:
+            c = cosine(va, vb)
+        except ValueError as exc:
+            raise _Failure(1, str(exc)) from exc
+        diff, e = _unit_scaled(va - vb)
+        dist = float(np.ldexp(np.linalg.norm(diff), e))
     equal = dist <= args.tolerance
 
     def text():
-        yield f"cosine: {_fmt_float(c)}"
-        yield f"distance: {_fmt_float(dist)}"
-        yield f"equal (within {_fmt_float(args.tolerance)}): {str(equal).lower()}"
+        yield f"cosine: {_stable_json(c)}"
+        yield f"distance: {_stable_json(dist)}"
+        yield f"equal (within {_stable_json(args.tolerance)}): {str(equal).lower()}"
     return 0, {"cosine": c, "distance": dist, "equal": equal}, text()
 
 
@@ -244,20 +244,22 @@ _BOUNDARY_TOKENS = {">", "<", "⊳", "⊲"}
 
 
 def cmd_truth(args):
-    universe, relations = load_universe(args.universe)
-    tokens = [t for t in args.query.split() if t not in _BOUNDARY_TOKENS]
-    if len(tokens) != 3:
-        raise _Failure(
-            2, f"query must be 'subject relation rheme' (got {len(tokens)} words)"
-        )
-    subject, rel_name, rheme = tokens
-    if rel_name not in relations:
-        known = ", ".join(sorted(relations)) or "(none)"
-        raise _Failure(2, f"unknown relation {rel_name!r}; universe file defines {known}")
-    rel = relations[rel_name]
-    theme = theme_vector(universe, rel, subject)
-    inter = intersect(universe, theme, rheme)
-    names = [universe.individuals[k] for k in np.flatnonzero(inter)]
+    import numpy as np
+    from .tensor import tensor_to_json
+    from .truth import intersect, load_universe, theme_vector
+    with _raising():
+        universe, relations = load_universe(args.universe)
+        tokens = [t for t in args.query.split() if t not in _BOUNDARY_TOKENS]
+        if len(tokens) != 3:
+            raise _Failure(2, f"query must be 'subject relation rheme' (got {len(tokens)} words)")
+        subject, rel_name, rheme = tokens
+        if rel_name not in relations:
+            known = ", ".join(sorted(relations)) or "(none)"
+            raise _Failure(2, f"unknown relation {rel_name!r}; universe file defines {known}")
+        rel = relations[rel_name]
+        theme = theme_vector(universe, rel, subject)
+        inter = intersect(universe, theme, rheme)
+        names = [universe.individuals[k] for k in np.flatnonzero(inter)]
     out = {
         "subject": subject,
         "relation": rel_name,
@@ -268,7 +270,8 @@ def cmd_truth(args):
     }
 
     def text():
-        yield f"theme({out['subject']} {out['relation']}) = " + _vec_text(out["theme_vector"])
+        theme_data = _stable_json(out["theme_vector"]["data"])
+        yield f"theme({out['subject']} {out['relation']}) = {theme_data}"
         shown = "{" + ", ".join(out["intersection"]) + "}" if out["intersection"] else "∅"
         yield f"intersection: {shown}"
         yield f"membership: {out['membership']}"
@@ -277,6 +280,11 @@ def cmd_truth(args):
 
 def _selfchecks():
     """Each property of the sweep and whether it holds at every listed dim."""
+    import numpy as np
+    from .frobenius import Spider, frobenius_condition_check, spider, zeta
+    from .intonation import boundary_contraction
+    from .tensor import TypedTensor, compose, epsilon_contract, eta
+    delta, mu, fuse = (getattr(sys.modules[__name__], name) for name in _MAPS)
     rng = np.random.default_rng(271828)
     close = functools.partial(np.allclose, rtol=1e-9, atol=1e-9)
     n, verb = atom("n"), parse_type("n.r s n.l n.l")
@@ -299,8 +307,8 @@ def _selfchecks():
 
     def boundary(d):
         theme, rheme = rng.random(d), rng.random(d)
-        product = intonation.boundary_contraction(theme, rheme)
-        flipped = intonation.boundary_contraction(theme, rheme, rheme_first=True)
+        product = boundary_contraction(theme, rheme)
+        flipped = boundary_contraction(theme, rheme, rheme_first=True)
         return close(product, theme * rheme) and np.array_equal(product, flipped)
 
     def link_orders(d):
@@ -323,7 +331,8 @@ def _selfchecks():
 
 
 def cmd_selfcheck(args):
-    verdicts = dict(_selfchecks())
+    with _raising():
+        verdicts = dict(_selfchecks())
     text = (f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in verdicts.items())
     return (0 if all(verdicts.values()) else 1), None, text
 
@@ -373,26 +382,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _library_failure(exc: Exception) -> _Failure | None:
+    """The failure a numpy-backed module's error stands for, or None; that module is loaded."""
+    from . import intonation, lexicon, tensor, truth
+    if isinstance(exc, (lexicon.LexiconError, truth.UniverseError, truth.UnknownIndividualError,
+                        intonation.AnnotationSyntaxError)):
+        return _Failure(2, str(exc))
+    if isinstance(exc, intonation.InfelicitousStructure):
+        return _Failure(1, f"infelicitous structure: {exc}")
+    return _Failure(1, str(exc)) if isinstance(exc, tensor.ContractionError) else None
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        with np.errstate(over="raise", invalid="raise"):
-            code, document, lines = args.func(args)
+        code, document, lines = args.func(args)
         json_out = document is not None and args.format == "json"
         _write((_stable_json(document) if json_out else "\n".join(lines)) + "\n", sys.stdout)
         return code
     except _Failure as exc:
         failure = exc
-    except (
-        LexiconError, UniverseError, UnknownIndividualError, TypeSyntaxError, AnnotationSyntaxError
-    ) as exc:
+    except TypeSyntaxError as exc:
         failure = _Failure(2, str(exc))
-    except InfelicitousStructure as exc:
-        failure = _Failure(1, f"infelicitous structure: {exc}")
-    except ContractionError as exc:
-        failure = _Failure(1, str(exc))
     except FloatingPointError as exc:
         failure = _Failure(1, f"the result is not finite in float64 ({exc})")
+    except Exception as exc:  # a class imported here would load numpy on --help's SystemExit
+        failure = _library_failure(exc)
+        if failure is None:
+            raise
     _write(f"error: {failure}\n", sys.stderr)
     return failure.code
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -155,8 +156,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))  # JSON is UTF-8 (RFC 8259)
+    except (OSError, UnicodeDecodeError) as exc:
         raise LexiconError(f"cannot read lexicon {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise LexiconError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
@@ -189,7 +190,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
                         raise LexiconError(f"data_ref sidecars hold vectors, but type "
                                            f"'{type_}' has {len(type_)} factors")
                     ref = item["data_ref"]
-                    rows = load((path.parent / ref).resolve())  # one read per resolved path
+                    # one read per resolved path; realpath, unlike resolve, leaves a loop to the read
+                    rows = load(Path(os.path.realpath(path.parent / ref)))
                     if word not in rows:
                         raise LexiconError(f"sidecar {ref!r} has no row for {word!r}")
                     shape, data = rows[word]

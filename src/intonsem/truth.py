@@ -145,13 +145,11 @@ def load_universe(path: str | Path) -> tuple[Universe, dict[str, Relation]]:
     {name: [[subject, object], ...]}} with names, not indices."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))  # JSON is UTF-8 (RFC 8259)
+    except (OSError, UnicodeDecodeError) as exc:
         raise UniverseError(f"cannot read universe {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UniverseError(
-            f"{path}: parse error at line {exc.lineno}: {exc.msg}"
-        ) from exc
+        raise UniverseError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict) or "individuals" not in raw:
         raise UniverseError(f"{path}: expected an object with 'individuals'")
     individuals = raw["individuals"]

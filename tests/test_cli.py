@@ -744,6 +744,112 @@ class TestSidecarErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    def test_symlink_loop_exits_two(self, run, tmp_path):
+        try:
+            os.symlink("b.tsv", tmp_path / "a.tsv")
+            os.symlink("a.tsv", tmp_path / "b.tsv")
+        except (OSError, NotImplementedError):
+            pytest.skip("symlinks cannot be made here")
+        p = tmp_path / "lex.json"
+        p.write_text(json.dumps({
+            "dims": {"n": 2, "s": 2, "theta": 2, "rho": 2},
+            "entries": [{"word": "x", "type": "n", "data_ref": "a.tsv"}],
+        }))
+        code, out, err = run("reduce", "x", "--lexicon", str(p))
+        looped = os.path.join(os.path.realpath(tmp_path), "a.tsv")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {p}: entry 1 ('x'): cannot read vector sidecar {looped}: "
+                       f"[Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: {looped!r}\n")
+
+
+class TestUndecodableFiles:
+    # JSON is UTF-8 (RFC 8259); a file that does not decode is an unreadable file
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [(("reduce", "x", "--lexicon"), "lexicon"),
+         (("meaning", "{T x} {R x}", "--lexicon"), "lexicon"),
+         (("truth", "a likes b", "--universe"), "universe")],
+        ids=["reduce-lexicon", "meaning-lexicon", "truth-universe"],
+    )
+    def test_exits_two(self, run, tmp_path, argv, kind):
+        p = tmp_path / "file.json"
+        p.write_bytes(b"\xff")
+        code, out, err = run(*argv, str(p))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read {kind} {p}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+
+    def test_a_utf8_word_loads(self, run, tmp_path):
+        p = tmp_path / "lex.json"
+        p.write_bytes(json.dumps({
+            "dims": {"n": 1, "s": 1, "theta": 1, "rho": 1},
+            "entries": [{"word": "Zoë", "type": "n", "shape": [1], "data": [1]}],
+        }, ensure_ascii=False).encode("utf-8"))
+        code, out, _ = run("reduce", "Zoë", "--lexicon", str(p), "--target", "n")
+        assert (code, out) == (0, "reduction 1: types n; links (none); survivors 1\n")
+
+
+class TestNumpyFreeStartup:
+    """``reduce`` on a type string, ``--help`` and argument errors never import numpy; each
+    prints what it printed when the CLI imported numpy at its top."""
+
+    # runs ``python -m intonsem.cli ARGV``, then reports whether numpy was imported
+    CHILD = "\n".join([
+        "import runpy, sys",
+        "try:",
+        "    runpy.run_module('intonsem.cli', run_name='__main__')",
+        "except SystemExit as exc:",
+        "    code = exc.code",
+        "sys.stdout.flush()",
+        "sys.stderr.write(f'numpy imported: {\"numpy\" in sys.modules}; exit {code}')",
+    ])
+    HELP = (
+        "usage: intonsem [-h] {reduce,meaning,compare,truth,selfcheck} ...\n\n"
+        "Pregroup grammar with tensor semantics and intonation-aware composition.\n\n"
+        "positional arguments:\n"
+        "  {reduce,meaning,compare,truth,selfcheck}\n"
+        "    reduce              search for pregroup reductions\n"
+        "    meaning             compute the meaning of an annotated sentence\n"
+        "    compare             cosine-compare two sentence meanings\n"
+        "    truth               evaluate 'subject relation rheme' over a universe\n"
+        "    selfcheck           run the built-in numeric property suite\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    )
+
+    @staticmethod
+    def _child(*argv):
+        from conftest import DATA_DIR
+
+        src = str(DATA_DIR.parent.parent)
+        env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        proc = subprocess.run([sys.executable, "-c", TestNumpyFreeStartup.CHILD, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        err, newline, report = proc.stderr.rpartition("\n")  # the report ends stderr
+        return proc.stdout, err + newline, report
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (("reduce", "n n.r s n.l n"), 0,
+             "factors: n n.r s n.l n\nreduction 1: links (1,2) (4,5); survivors 3\n", ""),
+            (("reduce", "n$"), 2, "", "error: unexpected character '$' (byte offset 1)\n"),
+            (("reduce", "n", "--bogus"), 2, "", "error: unrecognized arguments: --bogus\n"),
+            (("--help",), 0, HELP, ""),
+        ],
+        ids=["reduce", "type-syntax-error", "unknown-option", "help"],
+    )
+    def test_runs_without_numpy(self, argv, code, out, err):
+        assert self._child(*argv) == (out, err, f"numpy imported: False; exit {code}")
+
+    def test_meaning_imports_numpy(self, lexicon_path):
+        out, err, report = self._child("meaning", "{T Mary likes} {R musicals}",
+                                       "--lexicon", lexicon_path)
+        assert (err, report) == ("", "numpy imported: True; exit 0")
+        assert out.startswith("{T Mary likes} {R musicals}\nanalysis 1: pattern single-rheme\n")
+
 
 class TestSelfcheck:
     def test_all_pass(self, run):
