@@ -18,6 +18,7 @@ run without numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -58,7 +59,7 @@ def __getattr__(name: str):
 
 
 def _raising():
-    """numpy's error state for computing commands: float64 overflow and invalid values raise."""
+    """numpy's error state while a command computes: float64 overflow and invalid values raise."""
     import numpy as np
     return np.errstate(over="raise", invalid="raise")
 
@@ -121,8 +122,7 @@ def cmd_reduce(args):
         raise _Failure(2, "empty input")
     if args.lexicon:
         from .lexicon import load_lexicon
-        with _raising():
-            lex = load_lexicon(args.lexicon)
+        lex = load_lexicon(args.lexicon)
         alternatives = [lex[w].types() for w in words]
     else:
         alternatives = [[parse_type(args.input)]]
@@ -191,13 +191,12 @@ def _finite(m):
 def cmd_meaning(args):
     from .intonation import analyses, parse_annotated
     from .lexicon import load_lexicon
-    with _raising():
-        lex = load_lexicon(args.lexicon)
-        sentence = parse_annotated(args.sentence)
-        out = {
-            "sentence": str(sentence),
-            "analyses": [_analysis_json(a) for a in analyses(sentence, lex)],
-        }
+    lex = load_lexicon(args.lexicon)
+    sentence = parse_annotated(args.sentence)
+    out = {
+        "sentence": str(sentence),
+        "analyses": [_analysis_json(a) for a in analyses(sentence, lex)],
+    }
 
     def text():
         yield out["sentence"]
@@ -217,20 +216,22 @@ def cmd_compare(args):
     import numpy as np
     from .intonation import meaning, parse_annotated
     from .lexicon import _unit_scaled, cosine, load_lexicon
-    with _raising():
-        lex = load_lexicon(args.lexicon)
-        ma = _finite(meaning(parse_annotated(args.a), lex))
-        mb = _finite(meaning(parse_annotated(args.b), lex))
-        if ma.order != mb.order:
-            raise _Failure(1, f"cannot compare a meaning of order {ma.order} with one of "
-                           f"order {mb.order}: they live in different spaces")
-        va, vb = ma.array.ravel(), mb.array.ravel()
-        try:
-            c = cosine(va, vb)
-        except ValueError as exc:
-            raise _Failure(1, str(exc)) from exc
-        diff, e = _unit_scaled(va - vb)
-        dist = float(np.ldexp(np.linalg.norm(diff), e))
+    lex = load_lexicon(args.lexicon)
+    ma = _finite(meaning(parse_annotated(args.a), lex))
+    mb = _finite(meaning(parse_annotated(args.b), lex))
+    if ma.order != mb.order:
+        raise _Failure(
+            1,
+            f"cannot compare a meaning of order {ma.order} with one of "
+            f"order {mb.order}: they live in different spaces",
+        )
+    va, vb = ma.array.ravel(), mb.array.ravel()
+    try:
+        c = cosine(va, vb)
+    except ValueError as exc:
+        raise _Failure(1, str(exc)) from exc
+    diff, e = _unit_scaled(va - vb)
+    dist = float(np.ldexp(np.linalg.norm(diff), e))
     equal = dist <= args.tolerance
 
     def text():
@@ -247,19 +248,20 @@ def cmd_truth(args):
     import numpy as np
     from .tensor import tensor_to_json
     from .truth import intersect, load_universe, theme_vector
-    with _raising():
-        universe, relations = load_universe(args.universe)
-        tokens = [t for t in args.query.split() if t not in _BOUNDARY_TOKENS]
-        if len(tokens) != 3:
-            raise _Failure(2, f"query must be 'subject relation rheme' (got {len(tokens)} words)")
-        subject, rel_name, rheme = tokens
-        if rel_name not in relations:
-            known = ", ".join(sorted(relations)) or "(none)"
-            raise _Failure(2, f"unknown relation {rel_name!r}; universe file defines {known}")
-        rel = relations[rel_name]
-        theme = theme_vector(universe, rel, subject)
-        inter = intersect(universe, theme, rheme)
-        names = [universe.individuals[k] for k in np.flatnonzero(inter)]
+    universe, relations = load_universe(args.universe)
+    tokens = [t for t in args.query.split() if t not in _BOUNDARY_TOKENS]
+    if len(tokens) != 3:
+        raise _Failure(
+            2, f"query must be 'subject relation rheme' (got {len(tokens)} words)"
+        )
+    subject, rel_name, rheme = tokens
+    if rel_name not in relations:
+        known = ", ".join(sorted(relations)) or "(none)"
+        raise _Failure(2, f"unknown relation {rel_name!r}; universe file defines {known}")
+    rel = relations[rel_name]
+    theme = theme_vector(universe, rel, subject)
+    inter = intersect(universe, theme, rheme)
+    names = [universe.individuals[k] for k in np.flatnonzero(inter)]
     out = {
         "subject": subject,
         "relation": rel_name,
@@ -331,8 +333,7 @@ def _selfchecks():
 
 
 def cmd_selfcheck(args):
-    with _raising():
-        verdicts = dict(_selfchecks())
+    verdicts = dict(_selfchecks())
     text = (f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in verdicts.items())
     return (0 if all(verdicts.values()) else 1), None, text
 
@@ -396,7 +397,9 @@ def _library_failure(exc: Exception) -> _Failure | None:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code, document, lines = args.func(args)
+        computes = args.func is not cmd_reduce or args.lexicon  # reduce on types needs no numpy
+        with _raising() if computes else contextlib.nullcontext():
+            code, document, lines = args.func(args)
         json_out = document is not None and args.format == "json"
         _write((_stable_json(document) if json_out else "\n".join(lines)) + "\n", sys.stdout)
         return code

@@ -127,7 +127,7 @@ def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
 def _load_sidecar(path: Path) -> dict[str, tuple[tuple[int], list[float]]]:
     rows: dict[str, tuple[tuple[int], list[float]]] = {}
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()  # as its lexicon is read
     except OSError as exc:
         raise LexiconError(f"cannot read vector sidecar {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):

@@ -788,6 +788,24 @@ class TestUndecodableFiles:
         code, out, _ = run("reduce", "Zoë", "--lexicon", str(p), "--target", "n")
         assert (code, out) == (0, "reduction 1: types n; links (none); survivors 1\n")
 
+    def test_a_utf8_sidecar_row_loads_under_an_ascii_locale(self, tmp_path):
+        # the sidecar is decoded as UTF-8, as its lexicon is, whatever the locale says
+        (tmp_path / "v.tsv").write_bytes("Zoë\t1\n".encode("utf-8"))
+        p = tmp_path / "lex.json"
+        p.write_bytes(json.dumps({
+            "dims": {"n": 1, "s": 1, "theta": 1, "rho": 1},
+            "entries": [{"word": "x", "type": "n", "shape": [1], "data": [1]},
+                        {"word": "Zoë", "type": "n", "data_ref": "v.tsv"}],
+        }, ensure_ascii=False).encode("utf-8"))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "intonsem.cli", "reduce", "x", "--lexicon", str(p),
+             "--target", "n"], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "reduction 1: types n; links (none); survivors 1\n", "")
+
 
 class TestNumpyFreeStartup:
     """``reduce`` on a type string, ``--help`` and argument errors never import numpy; each

@@ -31,6 +31,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 OUT = HERE / "BENCH_startup.json"
 DATA = Path("src/intonsem/data")  # inside each tree
+ROUNDS = 21  # processes per command and tree
 
 # name -> (argv, expected exit code); data paths are relative to the tree's root
 COMMANDS = {
@@ -80,7 +81,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", metavar="LABEL=DIR",
                         help="a checkout to time under LABEL (repeatable)")
-    parser.add_argument("--rounds", type=int, default=21, help="processes per command and tree")
     args = parser.parse_args(argv)
     trees = dict(t.split("=", 1) for t in args.tree or [f"change={HERE}"])
     trees = {label: Path(d).resolve() for label, d in trees.items()}
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
                       for label, root in trees.items()}
     bare = {name: [] for name in BARE}
     times = {label: {name: [] for name in COMMANDS} for label in trees}
-    for k in range(args.rounds):
+    for k in range(ROUNDS):
         for name, cmd in BARE.items():
             bare[name].append(_wall_ms(cmd, None)[0])
         order = list(trees)[k % len(trees):] + list(trees)[:k % len(trees)]
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
         "bytecode_written": not sys.flags.dont_write_bytecode,  # else each process compiles
         "unit": "milliseconds of wall time per fresh process: [first quartile, median, "
                 "third quartile] over the rounds",
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "commands": {name: shlex.join(cmd) for name, (cmd, _) in COMMANDS.items()},
         "bare": {name: _summary(t) for name, t in bare.items()},
         "trees": {label: {name: _summary(t) for name, t in by.items()}
