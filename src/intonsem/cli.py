@@ -48,16 +48,6 @@ class _Parser(argparse.ArgumentParser):
         _write(message, file or sys.stderr)
 
 
-_MAPS = ("delta", "mu", "fuse")  # selfcheck reads them from this module, where they may be swapped
-
-
-def __getattr__(name: str):
-    if name not in _MAPS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import frobenius
-    return getattr(frobenius, name)
-
-
 def _raising():
     """numpy's error state while a command computes: float64 overflow and invalid values raise."""
     import numpy as np
@@ -283,10 +273,10 @@ def cmd_truth(args):
 def _selfchecks():
     """Each property of the sweep and whether it holds at every listed dim."""
     import numpy as np
+    from . import frobenius  # its maps are looked up at each use, where a test may swap them
     from .frobenius import Spider, frobenius_condition_check, spider, zeta
     from .intonation import boundary_contraction
     from .tensor import TypedTensor, compose, epsilon_contract, eta
-    delta, mu, fuse = (getattr(sys.modules[__name__], name) for name in _MAPS)
     rng = np.random.default_rng(271828)
     close = functools.partial(np.allclose, rtol=1e-9, atol=1e-9)
     n, verb = atom("n"), parse_type("n.r s n.l n.l")
@@ -295,6 +285,7 @@ def _selfchecks():
     def copy_merge(d):
         v, m = rng.random(d), rng.random((d, d))
         np.fill_diagonal(m, 0)  # merge must ignore what is off the diagonal
+        delta, mu = frobenius.delta, frobenius.mu
         return close([mu(delta(v)), mu(delta(v) + m), mu(np.outer(zeta(d), v))], [v, v, v])
 
     def yanking(d):
@@ -305,7 +296,7 @@ def _selfchecks():
 
     def fusion(d):
         dense = np.tensordot(spider(1, 2, d), spider(2, 1, d), axes=([2], [0]))
-        return np.array_equal(dense, fuse(Spider(1, 2, d), Spider(2, 1, d)).array())
+        return np.array_equal(dense, frobenius.fuse(Spider(1, 2, d), Spider(2, 1, d)).array())
 
     def boundary(d):
         theme, rheme = rng.random(d), rng.random(d)

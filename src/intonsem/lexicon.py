@@ -172,7 +172,9 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
     # One pass: each distinct type string is parsed, and each (type string, shape)
     # checked, once; all data goes through one float64 conversion into one buffer.
-    parse, load = functools.cache(parse_type), functools.cache(_load_sidecar)
+    parse, read = functools.cache(parse_type), functools.cache(_load_sidecar)
+    # one realpath per data_ref, one read per result; unlike resolve, it leaves loops to the read
+    load = functools.cache(lambda ref: read(Path(os.path.realpath(path.parent / ref))))
     fits, inline, flat = set(), [], []
     senses: dict[str, list[tuple[PregroupType, int, tuple[int, ...]]]] = {}  # (type, start, shape)
     try:
@@ -190,8 +192,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
                         raise LexiconError(f"data_ref sidecars hold vectors, but type "
                                            f"'{type_}' has {len(type_)} factors")
                     ref = item["data_ref"]
-                    # one read per resolved path; realpath, unlike resolve, leaves a loop to the read
-                    rows = load(Path(os.path.realpath(path.parent / ref)))
+                    rows = load(ref)
                     if word not in rows:
                         raise LexiconError(f"sidecar {ref!r} has no row for {word!r}")
                     shape, data = rows[word]

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .pregroup import atom, parse_type
-from .tensor import TypedTensor, epsilon_contract
+from .tensor import TypedTensor, _read_only_float64, epsilon_contract
 
 _NOUN = atom("n")
 _VERB = parse_type("n.r s n.l")
@@ -74,12 +74,11 @@ class Relation:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
+        m = _read_only_float64(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise UniverseError(f"relation {self.name!r} needs a square matrix")
         if not ((m == 0.0) | (m == 1.0)).all():
             raise UniverseError(f"relation {self.name!r} must be 0/1 valued")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -95,6 +94,7 @@ class Relation:
             except (KeyError, TypeError):  # Universe.index names an unknown or unhashable name
                 flat.append(universe.index(a) * d + universe.index(b))
         m.put(flat, 1.0)
+        m.setflags(write=False)  # so the Relation keeps it
         return cls(name, m)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from _oracles import stable_json_reference
-from intonsem import cli, tensor
+from intonsem import cli, frobenius, tensor
 from intonsem.cli import main
 from intonsem.intonation import meaning, parse_annotated
 from intonsem.tensor import ContractionError, tensor_from_json
@@ -890,7 +890,7 @@ class TestSelfcheck:
     def test_a_broken_map_fails_its_property_alone(
         self, run, monkeypatch, name, broken, failing
     ):
-        monkeypatch.setattr(cli, name, broken)
+        monkeypatch.setattr(frobenius, name, broken)
         code, out, err = run("selfcheck")
         assert (code, err) == (1, "")
         verdicts = dict(line.rsplit(": ", 1) for line in out.splitlines())
@@ -903,7 +903,7 @@ class TestSelfcheck:
         def broken(a, b, wires=1):
             raise ContractionError("fuse broke")
 
-        monkeypatch.setattr(cli, "fuse", broken)
+        monkeypatch.setattr(frobenius, "fuse", broken)
         code, out, err = run("selfcheck")
         assert (code, out, err) == (1, "", "error: fuse broke\n")
 

@@ -319,6 +319,31 @@ class TestLoadErrors:
         assert np.array_equal(lex["y"].sense(parse_type("n")).array, [0.0, 1.0])
         assert np.array_equal(lex["x"].sense(parse_type("rho")).array, [1.0, 0.0])
 
+    def test_each_data_ref_spelling_resolved_once(self, tmp_path, write_lexicon, monkeypatch):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "v.tsv").write_text("".join(f"w{k}\t{k} 0\n" for k in range(6)))
+        spellings = ["v.tsv", "./v.tsv", "sub/../v.tsv"]
+        resolved = []
+        realpath = os.path.realpath
+
+        def counting(path, **kw):
+            resolved.append(path)
+            return realpath(path, **kw)
+
+        monkeypatch.setattr(os.path, "realpath", counting)
+        p = write_lexicon(
+            {
+                "dims": {"n": 2, "s": 1, "theta": 2, "rho": 2},
+                "entries": [
+                    {"word": f"w{k}", "type": t, "data_ref": spellings[k % 3]}
+                    for k in range(6) for t in ("n", "rho")
+                ],
+            }
+        )
+        lex = load_lexicon(p)
+        assert resolved == [tmp_path / ref for ref in spellings]
+        assert np.array_equal(lex["w5"].sense(parse_type("rho")).array, [5.0, 0.0])
+
     def test_sidecars_with_inode_zero_are_kept_apart(self, tmp_path, write_lexicon, monkeypatch):
         # some filesystems report st_ino 0, which then names no file
         (tmp_path / "a.tsv").write_text("x\t1 0\n")

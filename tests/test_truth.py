@@ -74,6 +74,19 @@ class TestRelation:
         with pytest.raises(ValueError):
             r.matrix[0, 0] = 0.0
 
+    def test_a_read_only_float64_matrix_is_kept(self):
+        m = np.eye(2)
+        m.setflags(write=False)
+        assert Relation("r", m).matrix is m
+
+    def test_a_writable_matrix_is_copied_and_left_writable(self):
+        m = np.eye(2)
+        r = Relation("r", m)
+        assert r.matrix is not m and not r.matrix.flags.writeable
+        assert m.flags.writeable and m.flags.c_contiguous
+        m[0, 0] = 0.0
+        assert r.matrix[0, 0] == 1.0
+
     def test_unknown_name_in_pairs(self):
         u = Universe(("a",))
         with pytest.raises(UnknownIndividualError):

@@ -1,18 +1,17 @@
 """Per-call timings of the hot library calls, written to ``BENCH_calls.json``.
 
-    python3 tools/bench_calls.py --label change
-    python3 tools/bench_calls.py --label parent --root ../other-checkout
+    python3 tools/bench_calls.py --tree change=.
+    python3 tools/bench_calls.py --tree parent=../other-checkout --tree change=.
 
-Run it from the repository root.  ``--root`` names the source checkout
-whose ``src/`` is timed (default: this one); the inputs come from that
-checkout's ``perfbench/workloads.py``, so two checkouts are timed on the
-same inputs.  Each call is timed in process as the fastest of its
-repeats, in microseconds, with the repeats of all calls taking turns.
-The figures are stored under ``--label``; a second run with the same
-label keeps the faster figure of each call, so alternating runs of two
-checkouts compare their best figures.  When the file holds a ``parent``
-and a ``change`` label it also gets their ratios (parent time / change
-time).
+Run it from the repository root.  Each ``--tree LABEL=DIR`` names a source
+checkout whose ``src/`` is timed (default: ``change=`` this one); the inputs
+come from that checkout's ``perfbench/workloads.py``, so two checkouts are
+timed on the same inputs.  A round starts one child process per tree, which
+times every call once, in microseconds per call; the trees take turns going
+first, so the host's slow phases fall on all of them alike.  Each figure is
+the fastest round.  When the trees include ``parent`` and ``change``, the
+file also gets their ratios (parent time / change time).  The file holds the
+last run only: figures from different runs do not compare.
 """
 
 from __future__ import annotations
@@ -22,13 +21,21 @@ import json
 import os
 import platform
 import random
+import subprocess
 import sys
 import timeit
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 OUT = HERE / "BENCH_calls.json"
-REPEAT = 15  # rounds per call; the figure is the fastest
+ROUNDS = 15  # child processes per tree; the figure is the fastest round
+
+# times every call of the checkout named by argv[1] once and prints the figures
+_CHILD = f"""import json, sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+import bench_calls
+print(json.dumps(bench_calls._time_once(sys.argv[1])))
+"""
 
 
 def _calls():
@@ -80,46 +87,53 @@ def _calls():
     ]
 
 
-def _time(calls) -> dict[str, float]:
-    """Fastest of ``REPEAT`` rounds of each call, in microseconds per call.  The
-    rounds of all calls take turns, so a burst of load elsewhere on the host
-    slows a round or two of each call rather than every round of one."""
-    timers = {name: timeit.Timer(call) for name, call in calls}
-    # about 0.05 s a round: a quarter of what autorange picks for 0.2 s
+def _time_once(root: str) -> dict[str, float]:
+    """Each call of the checkout at ``root`` timed once, in microseconds per call."""
+    sys.path[:0] = [str(Path(root) / d) for d in ("src", "tests", "perfbench")]
+    timers = {name: timeit.Timer(call) for name, call in _calls()}
+    # about 0.05 s a call: a quarter of what autorange picks for 0.2 s
     numbers = {name: max(1, timer.autorange()[0] // 4) for name, timer in timers.items()}
-    best = dict.fromkeys(timers, float("inf"))
-    for _ in range(REPEAT):
-        for name, timer in timers.items():
-            best[name] = min(best[name], timer.timeit(numbers[name]) / numbers[name] * 1e6)
-    return best
+    return {name: timer.timeit(numbers[name]) / numbers[name] * 1e6
+            for name, timer in timers.items()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="name the figures are stored under")
-    parser.add_argument("--root", type=Path, default=HERE, help="source checkout to time")
+    parser.add_argument("--tree", action="append", metavar="LABEL=DIR",
+                        help="a checkout to time under LABEL (repeatable)")
     args = parser.parse_args(argv)
+    trees = dict(t.split("=", 1) for t in args.tree or [f"change={HERE}"])
+    trees = {label: Path(d).resolve() for label, d in trees.items()}
 
-    root = args.root.resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "perfbench")]
+    best = {label: {} for label in trees}
+    for k in range(ROUNDS):
+        order = list(trees)[k % len(trees):] + list(trees)[:k % len(trees)]
+        for label in order:
+            proc = subprocess.run([sys.executable, "-c", _CHILD, str(trees[label])],
+                                  cwd=trees[label], capture_output=True, text=True)
+            if proc.returncode:
+                raise SystemExit(f"{label}: the timing process failed:\n{proc.stderr}")
+            for name, t in json.loads(proc.stdout).items():
+                best[label][name] = min(t, best[label].get(name, t))
+
     import numpy as np
 
-    figures = {name: round(t, 2) for name, t in _time(_calls()).items()}
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc["python"] = platform.python_version()
-    doc["numpy"] = np.__version__
-    doc["cpus"] = os.cpu_count()
-    doc["unit"] = "microseconds per call, fastest of the repeats"
-    trees = doc.setdefault("trees", {})
-    old = trees.get(args.label, {})
-    trees[args.label] = {k: min(v, old.get(k, v)) for k, v in figures.items()}
+    doc = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": os.cpu_count(),
+        "unit": "microseconds per call, fastest of the rounds",
+        "rounds": ROUNDS,
+        "trees": {label: {name: round(t, 2) for name, t in by.items()}
+                  for label, by in best.items()},
+    }
     if "parent" in trees and "change" in trees:
-        parent, change = trees["parent"], trees["change"]
+        parent, change = doc["trees"]["parent"], doc["trees"]["change"]
         doc["ratio_parent_over_change"] = {
             k: round(parent[k] / change[k], 2) for k in change if k in parent
         }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps(trees[args.label], indent=2))
+    print(json.dumps(doc["trees"], indent=2))
     return 0
 
 
