@@ -124,13 +124,22 @@ def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -e), e
 
 
+def _read(path: Path, kind: str, error: type[ValueError] = LexiconError, parse=json.loads):
+    """``parse`` of the text of the ``kind`` file at ``path``, read as UTF-8: JSON is
+    UTF-8 (RFC 8259), and a sidecar is read as its lexicon is.  A file that cannot be
+    read or decoded raises ``error`` as ``cannot read <kind> <path>: …``, and a JSON
+    syntax error as ``<path>: parse error at line N: …``."""
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {kind} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+
+
 def _load_sidecar(path: Path) -> dict[str, tuple[tuple[int], list[float]]]:
     rows: dict[str, tuple[tuple[int], list[float]]] = {}
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()  # as its lexicon is read
-    except OSError as exc:
-        raise LexiconError(f"cannot read vector sidecar {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read(path, "vector sidecar", parse=str.splitlines), 1):
         if not line.strip():
             continue
         word, sep, rest = line.partition("\t")
@@ -151,25 +160,11 @@ def _load_sidecar(path: Path) -> dict[str, tuple[tuple[int], list[float]]]:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load and validate a lexicon file.
 
-    Errors name the offending entry by number and word (a duplicate
-    sense by word and type); JSON syntax errors carry the line number.
+    Errors name the file, then the offending entry by number and word (a
+    duplicate sense by word and type); JSON syntax errors carry the line number.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))  # JSON is UTF-8 (RFC 8259)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LexiconError(f"cannot read lexicon {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict) or "dims" not in raw or not isinstance(raw.get("entries"), list):
-        raise LexiconError(f"{path}: expected an object with 'dims' and an 'entries' list")
-    dims = raw["dims"]
-    # exact type checks throughout: JSON true/false load as bool, an int subclass
-    if not isinstance(dims, dict) or not all(
-        isinstance(k, str) and type(v) is int and v >= 1 for k, v in dims.items()
-    ):
-        raise LexiconError(f"{path}: 'dims' must map base names to positive integers")
-
+    raw = _read(path, "lexicon")
     # One pass: each distinct type string is parsed, and each (type string, shape)
     # checked, once; all data goes through one float64 conversion into one buffer.
     parse, read = functools.cache(parse_type), functools.cache(_load_sidecar)
@@ -178,11 +173,19 @@ def load_lexicon(path: str | Path) -> Lexicon:
     fits, inline, flat = set(), [], []
     senses: dict[str, list[tuple[PregroupType, int, tuple[int, ...]]]] = {}  # (type, start, shape)
     try:
+        if not (isinstance(raw, dict) and "dims" in raw and isinstance(raw.get("entries"), list)):
+            raise LexiconError("expected an object with 'dims' and an 'entries' list")
+        dims = raw["dims"]
+        # exact type checks throughout: JSON true/false load as bool, an int subclass
+        if not isinstance(dims, dict) or not all(
+            isinstance(k, str) and type(v) is int and v >= 1 for k, v in dims.items()
+        ):
+            raise LexiconError("'dims' must map base names to positive integers")
         for k, item in enumerate(raw["entries"], start=1):
             if not (isinstance(item, dict) and isinstance(item.get("word"), str)
                     and isinstance(item.get("type"), str)
                     and isinstance(item.get("data_ref", ""), str)):
-                raise LexiconError(f"{path}: entry {k}: expected an object with 'word' and "
+                raise LexiconError(f"entry {k}: expected an object with 'word' and "
                                    "'type' strings (and 'data_ref', if given, a string)")
             word, text = item["word"], item["type"]
             try:
@@ -205,23 +208,22 @@ def load_lexicon(path: str | Path) -> Lexicon:
                 senses.setdefault(word, []).append((type_, len(flat), shape))
                 flat += data
             except TypeSyntaxError as exc:
-                raise LexiconError(f"{path}: entry {k} ({word!r}): bad type: {exc}") from exc
+                raise LexiconError(f"entry {k} ({word!r}): bad type: {exc}") from exc
             except ValueError as exc:
-                raise LexiconError(f"{path}: entry {k} ({word!r}): {exc}") from exc
+                raise LexiconError(f"entry {k} ({word!r}): {exc}") from exc
         values = _finite_float64(flat)
-    except ValueError:  # an entry whose data does not convert outranks any later error
-        for k, item in inline:
-            try:
-                _finite_float64(item["data"])
-            except ValueError as exc:
-                raise LexiconError(f"{path}: entry {k} ({item['word']!r}): {exc}") from exc
-        raise
-    values.setflags(write=False)  # so TypedTensor keeps each view as it is
-    try:  # LexiconEntry finds duplicate senses, Lexicon missing bases
+        values.setflags(write=False)  # so TypedTensor keeps each view as it is
+        # LexiconEntry finds duplicate senses, Lexicon missing bases
         entries = {w: LexiconEntry(w, tuple(TypedTensor(t, values[i:i + math.prod(n)].reshape(n))
                                             for t, i, n in ss)) for w, ss in senses.items()}
         lexicon = Lexicon(dims, {})
-    except LexiconError as exc:
+    except ValueError as exc:
+        for k, item in inline:  # an entry whose data does not convert outranks any later error
+            try:
+                _finite_float64(item["data"])
+            except ValueError as bad:
+                exc = LexiconError(f"entry {k} ({item['word']!r}): {bad}")
+                break
         raise LexiconError(f"{path}: {exc}") from exc
     lexicon.update(entries)  # not through Lexicon(): every shape was checked above
     return lexicon

@@ -13,13 +13,13 @@ isomorphic categorical form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from .lexicon import _read
 from .pregroup import atom, parse_type
 from .tensor import TypedTensor, _read_only_float64, epsilon_contract
 
@@ -142,28 +142,25 @@ def intersect(universe: Universe, theme: np.ndarray, rheme: str) -> np.ndarray:
 
 def load_universe(path: str | Path) -> tuple[Universe, dict[str, Relation]]:
     """Load a universe file: {"individuals": [...], "relations":
-    {name: [[subject, object], ...]}} with names, not indices."""
+    {name: [[subject, object], ...]}} with names, not indices.  Errors name the file."""
     path = Path(path)
+    raw = _read(path, "universe", UniverseError)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))  # JSON is UTF-8 (RFC 8259)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UniverseError(f"cannot read universe {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UniverseError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict) or "individuals" not in raw:
-        raise UniverseError(f"{path}: expected an object with 'individuals'")
-    individuals = raw["individuals"]
-    if not isinstance(individuals, list) or {*map(type, individuals)} - {str}:
-        raise UniverseError(f"{path}: 'individuals' must be a list of names")
-    universe = Universe(tuple(individuals))
-    listed = raw.get("relations", {})
-    if not isinstance(listed, dict):
-        raise UniverseError(f"{path}: 'relations' must be an object mapping names to pairs")
-    relations: dict[str, Relation] = {}
-    for name, pairs in listed.items():
-        if not isinstance(pairs, list) or {*map(type, pairs)} - {list} or {*map(len, pairs)} - {2}:
-            raise UniverseError(
-                f"{path}: relation {name!r} must be a list of [subject, object] pairs"
-            )
-        relations[name] = Relation.from_pairs(name, pairs, universe)
+        if not isinstance(raw, dict) or "individuals" not in raw:
+            raise UniverseError("expected an object with 'individuals'")
+        individuals = raw["individuals"]
+        if not isinstance(individuals, list) or {*map(type, individuals)} - {str}:
+            raise UniverseError("'individuals' must be a list of names")
+        universe = Universe(tuple(individuals))
+        listed = raw.get("relations", {})
+        if not isinstance(listed, dict):
+            raise UniverseError("'relations' must be an object mapping names to pairs")
+        relations: dict[str, Relation] = {}
+        for name, pairs in listed.items():
+            if (not isinstance(pairs, list) or {*map(type, pairs)} - {list}
+                    or {*map(len, pairs)} - {2}):
+                raise UniverseError(f"relation {name!r} must be a list of [subject, object] pairs")
+            relations[name] = Relation.from_pairs(name, pairs, universe)
+    except (UniverseError, UnknownIndividualError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     return universe, relations

@@ -342,6 +342,33 @@ class TestMeaning:
         assert a == b
 
 
+class TestDeterminismMatrix:
+    """The golden fixtures print their golden bytes whatever the hash seed or the locale;
+    one child process per setting runs all four."""
+
+    CHILD = "\n".join([
+        "import sys",
+        "from intonsem.cli import main",
+        "for sentence in sys.argv[2:]:",
+        "    main(['meaning', sentence, '--lexicon', sys.argv[1], '--format', 'json'])",
+    ])
+
+    @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+    @pytest.mark.parametrize("hash_seed", ["0", "random"])
+    def test_golden_bytes(self, lexicon_path, hash_seed, locale):
+        from test_acceptance import _FIXTURE_SENTENCES, GOLDEN_DIR, SRC_DIR
+
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+        env.update(PYTHONHASHSEED=hash_seed, LC_ALL=locale, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, lexicon_path, *(s for _, s in _FIXTURE_SENTENCES)],
+            capture_output=True, env=env, timeout=60)
+        golden = b"".join((GOLDEN_DIR / f"{name}.json").read_bytes()
+                          for name, _ in _FIXTURE_SENTENCES)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", golden)
+
+
 class TestDeepMeaning:
     def test_nested_theme_of_2401_words(self, run, write_lexicon):
         # theta n.l | n.l x 1199 | n x 1200: 1,200 nested links, d = 1
@@ -630,7 +657,23 @@ class TestTruth:
         p.write_text(json.dumps({"individuals": ["a", "b"], "relations": {"r": [[["a"], "b"]]}}))
         code, out, err = run("truth", "a r b", "--universe", str(p))
         assert (code, out) == (2, "")
-        assert err == "error: unknown individual ['a']; universe has a, b\n"
+        assert err == f"error: {p}: unknown individual ['a']; universe has a, b\n"
+
+    # a failure to build the universe names the file, unlike the same failure in a query
+    @pytest.mark.parametrize(
+        "individuals, pairs, message",
+        [(["a", "b", "a"], [], "individual names must be unique"),
+         ([], [], "a universe needs at least one individual"),
+         (["a", "b"], [["a", "Bob"]], "unknown individual 'Bob'; universe has a, b")],
+        ids=["duplicate-individual", "no-individuals", "unknown-name-in-pair"],
+    )
+    def test_a_universe_construction_error_names_the_file(
+        self, run, tmp_path, individuals, pairs, message
+    ):
+        p = tmp_path / "u.json"
+        p.write_text(json.dumps({"individuals": individuals, "relations": {"r": pairs}}))
+        code, out, err = run("truth", "a r b", "--universe", str(p))
+        assert (code, out, err) == (2, "", f"error: {p}: {message}\n")
 
     def test_relations_not_an_object_exits_two(self, run, tmp_path):
         p = tmp_path / "u.json"
@@ -778,6 +821,19 @@ class TestUndecodableFiles:
         assert (code, out) == (2, "")
         assert err == (f"error: cannot read {kind} {p}: 'utf-8' codec can't decode byte 0xff "
                        "in position 0: invalid start byte\n")
+
+    def test_an_undecodable_sidecar_is_named(self, run, tmp_path):
+        (tmp_path / "v.tsv").write_bytes(b"art\t0 0 2 \xff\n")
+        p = tmp_path / "lex.json"
+        p.write_text(json.dumps({
+            "dims": {"n": 4, "s": 4, "theta": 4, "rho": 4},
+            "entries": [{"word": "art", "type": "n", "data_ref": "v.tsv"}],
+        }))
+        code, out, err = run("reduce", "art", "--lexicon", str(p))
+        sidecar = os.path.join(os.path.realpath(tmp_path), "v.tsv")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {p}: entry 1 ('art'): cannot read vector sidecar {sidecar}: "
+                       "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte\n")
 
     def test_a_utf8_word_loads(self, run, tmp_path):
         p = tmp_path / "lex.json"

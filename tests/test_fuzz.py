@@ -1,7 +1,7 @@
 """Seeded fuzz of the CLI's exit-code contract.
 
-Mutated copies of the shipped lexicon and universe files, and random type
-and annotation strings, go through ``intonsem.cli.main`` in-process.  Every
+Mutated copies of the shipped lexicon, universe and vector sidecar files,
+and random type and annotation strings, go through ``intonsem.cli.main`` in-process.  Every
 call must end in exit 0, 1 or 2 without an exception or a warning.  A
 non-zero exit prints nothing on stdout and exactly one ``error:`` line on
 stderr, except ``reduce``'s exit 1 with no reduction, which reports on
@@ -44,6 +44,10 @@ VALUES = (
     "vectors.tsv", "missing.tsv", "John", [], [4], [2, 2], [1, 2, 3, 4], [[1]], [True],
     [["John", "Mary"]], ["John"], {}, {"shape": [4], "data": [1, 2, 3, 4]},
 )
+SIDECAR = (DATA_DIR / "vectors.tsv").read_text()
+# a sidecar value that is not a finite number, or a missing one
+SIDECAR_VALUES = ("x", "nan", "NaN", "inf", "-inf", "1e400", "1,5", "0x1", "")
+UNDECODABLE = (b"\xff", b"\x80", b"\xc3", b"\xe2\x8a")
 # factors that underflow a value, or overflow it alone or once multiplied
 SCALES = (1e-320, 1e-160, 1e160, 1e300, 1e307, 1e308)
 TYPE_TOKENS = ("n", "s", "n.r", "n.l", "s.l", "theta", "rho", "n.r.r", "n.l.l", "x",
@@ -129,6 +133,35 @@ def _mutant_text(rng, base) -> str:
     return text
 
 
+def _write_mutant_sidecar(rng, path) -> None:
+    """Write a copy of the shipped sidecar at ``path`` with one edit: a row without
+    its tab, a value from SIDECAR_VALUES, a duplicate row or undecodable bytes; or put
+    a directory in the file's place."""
+    if path.is_dir():
+        path.rmdir()
+    rows = SIDECAR.splitlines()
+    k = rng.integers(len(rows))
+    word, values = rows[k].split("\t")
+    op = rng.integers(5)
+    if op == 0:
+        rows[k] = f"{word} {values}"
+    elif op == 1:
+        values = values.split()
+        values[rng.integers(len(values))] = SIDECAR_VALUES[rng.integers(len(SIDECAR_VALUES))]
+        rows[k] = word + "\t" + " ".join(values)
+    elif op == 2:
+        rows.insert(k, rows[k])
+    elif op == 3:
+        path.unlink(missing_ok=True)
+        path.mkdir()
+        return
+    data = ("\n".join(rows) + "\n").encode()
+    if op == 4:
+        at = rng.integers(len(data) + 1)
+        data = data[:at] + UNDECODABLE[rng.integers(len(UNDECODABLE))] + data[at:]
+    path.write_bytes(data)
+
+
 def _tokens(rng, pool) -> str:
     picked = rng.choice(pool, size=rng.integers(0, 9))
     return ("" if rng.random() < 0.2 else " ").join(picked)
@@ -158,6 +191,20 @@ def test_mutated_universes(tmp_path):
         (tmp_path / "universe.json").write_text(_mutant_text(rng, UNIVERSE))
         query = QUERIES[rng.integers(len(QUERIES))]
         _run(["truth", query, "--universe", universe, "--format", ("json", "text")[rng.integers(2)]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_mutated_sidecars(tmp_path):
+    rng = np.random.default_rng(20261021)
+    shutil.copy(DATA_DIR / "example_lexicon.json", tmp_path / "lex.json")
+    lex = str(tmp_path / "lex.json")
+    for _ in range(200):
+        _write_mutant_sidecar(rng, tmp_path / "vectors.tsv")
+        fmt = ("json", "text")[rng.integers(2)]
+        _run([
+            ["meaning", SENTENCES[rng.integers(4)], "--lexicon", lex, "--format", fmt],
+            ["reduce", "John likes art", "--lexicon", lex, "--format", fmt],
+        ][rng.integers(2)])
 
 
 @pytest.mark.filterwarnings("error")

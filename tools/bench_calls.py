@@ -7,11 +7,12 @@ Run it from the repository root.  Each ``--tree LABEL=DIR`` names a source
 checkout whose ``src/`` is timed (default: ``change=`` this one); the inputs
 come from that checkout's ``perfbench/workloads.py``, so two checkouts are
 timed on the same inputs.  A round starts one child process per tree, which
-times every call once, in microseconds per call; the trees take turns going
-first, so the host's slow phases fall on all of them alike.  Each figure is
-the fastest round.  When the trees include ``parent`` and ``change``, the
-file also gets their ratios (parent time / change time).  The file holds the
-last run only: figures from different runs do not compare.
+times every call ``REPEATS`` times, about 10 ms a timing, in microseconds per
+call; the trees take turns going first, so the host's slow phases fall on all
+of them alike.  Each figure is the fastest timing of all rounds.  When the
+trees include ``parent`` and ``change``, the file also gets their ratios
+(parent time / change time).  The file holds the last run only: figures from
+different runs do not compare.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 OUT = HERE / "BENCH_calls.json"
-ROUNDS = 15  # child processes per tree; the figure is the fastest round
+ROUNDS = 15  # child processes per tree
+REPEATS = 9  # timings of every call in each child; the figure is the fastest of all
 
-# times every call of the checkout named by argv[1] once and prints the figures
+# times every call of the checkout named by argv[1] and prints its fastest timings
 _CHILD = f"""import json, sys
 sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
 import bench_calls
-print(json.dumps(bench_calls._time_once(sys.argv[1])))
+print(json.dumps(bench_calls._time_best(sys.argv[1])))
 """
 
 
@@ -87,14 +89,17 @@ def _calls():
     ]
 
 
-def _time_once(root: str) -> dict[str, float]:
-    """Each call of the checkout at ``root`` timed once, in microseconds per call."""
+def _time_best(root: str) -> dict[str, float]:
+    """Each call of the checkout at ``root``, the fastest of ``REPEATS`` timings, in
+    microseconds per call."""
     sys.path[:0] = [str(Path(root) / d) for d in ("src", "tests", "perfbench")]
-    timers = {name: timeit.Timer(call) for name, call in _calls()}
-    # about 0.05 s a call: a quarter of what autorange picks for 0.2 s
-    numbers = {name: max(1, timer.autorange()[0] // 4) for name, timer in timers.items()}
-    return {name: timer.timeit(numbers[name]) / numbers[name] * 1e6
-            for name, timer in timers.items()}
+    best = {}
+    for name, call in _calls():
+        timer = timeit.Timer(call)
+        timer.timeit(1)  # the first call may fill caches
+        number = max(1, int(0.01 / timer.timeit(1)))  # about 10 ms a timing
+        best[name] = min(timer.repeat(REPEATS, number)) / number * 1e6
+    return best
 
 
 def main(argv=None) -> int:
@@ -122,8 +127,9 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
-        "unit": "microseconds per call, fastest of the rounds",
+        "unit": "microseconds per call, fastest timing of all rounds",
         "rounds": ROUNDS,
+        "repeats": REPEATS,
         "trees": {label: {name: round(t, 2) for name, t in by.items()}
                   for label, by in best.items()},
     }
