@@ -371,6 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selfcheck", help="run the built-in numeric property suite")
     p.set_defaults(func=cmd_selfcheck)
 
+    parser.commands = sub.choices  # each command's own parser, by name
     return parser
 
 
@@ -385,9 +386,18 @@ def _library_failure(exc: Exception) -> _Failure | None:
     return _Failure(1, str(exc)) if isinstance(exc, tensor.ContractionError) else None
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """What the top-level parser makes of ``argv``; a named command's own parser takes the
+    rest at once, where the top level would classify every argument only to pass it on."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    return (command.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if command
+            else parser.parse_args(argv))
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         computes = args.func is not cmd_reduce or args.lexicon  # reduce on types needs no numpy
         with _raising() if computes else contextlib.nullcontext():
             code, document, lines = args.func(args)

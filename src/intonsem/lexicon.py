@@ -11,7 +11,6 @@ under distinct types; repeating a (word, type) pair is an error.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -127,14 +126,16 @@ def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
 def _read(path: Path, kind: str, error: type[ValueError] = LexiconError, parse=json.loads):
     """``parse`` of the text of the ``kind`` file at ``path``, read as UTF-8: JSON is
     UTF-8 (RFC 8259), and a sidecar is read as its lexicon is.  A file that cannot be
-    read or decoded raises ``error`` as ``cannot read <kind> <path>: …``, and a JSON
-    syntax error as ``<path>: parse error at line N: …``."""
+    read or decoded raises ``error`` as ``cannot read <kind> <path>: …``, and JSON that does
+    not parse, or nests too deep, as ``<path>: parse error[ at line N]: …``."""
     try:
         return parse(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {kind} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:  # nested deeper than the decoder can follow
+        raise error(f"{path}: parse error: {exc}") from exc
 
 
 def _load_sidecar(path: Path) -> dict[str, tuple[tuple[int], list[float]]]:
@@ -167,9 +168,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
     raw = _read(path, "lexicon")
     # One pass: each distinct type string is parsed, and each (type string, shape)
     # checked, once; all data goes through one float64 conversion into one buffer.
-    parse, read = functools.cache(parse_type), functools.cache(_load_sidecar)
-    # one realpath per data_ref, one read per result; unlike resolve, it leaves loops to the read
-    load = functools.cache(lambda ref: read(Path(os.path.realpath(path.parent / ref))))
+    # Sidecars: one realpath per data_ref spelling, one read per real path.
+    types, refs, sidecars = {}, {}, {}
     fits, inline, flat = set(), [], []
     senses: dict[str, list[tuple[PregroupType, int, tuple[int, ...]]]] = {}  # (type, start, shape)
     try:
@@ -189,13 +189,16 @@ def load_lexicon(path: str | Path) -> Lexicon:
                                    "'type' strings (and 'data_ref', if given, a string)")
             word, text = item["word"], item["type"]
             try:
-                type_ = parse(text)
+                type_ = types[text] if text in types else types.setdefault(text, parse_type(text))
                 if "data_ref" in item:
                     if len(type_) != 1:
                         raise LexiconError(f"data_ref sidecars hold vectors, but type "
                                            f"'{type_}' has {len(type_)} factors")
                     ref = item["data_ref"]
-                    rows = load(ref)
+                    if ref not in refs:  # realpath, unlike resolve, leaves a loop to the read
+                        refs[ref] = real = os.path.realpath(path.parent / ref)
+                        sidecars[real] = sidecars.get(real) or _load_sidecar(Path(real))
+                    rows = sidecars[refs[ref]]
                     if word not in rows:
                         raise LexiconError(f"sidecar {ref!r} has no row for {word!r}")
                     shape, data = rows[word]

@@ -49,7 +49,7 @@ def semantic_shape(type_: PregroupType, spaces: Mapping[str, int]) -> tuple[int,
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TypedTensor:
     """A tensor together with the pregroup type labelling its axes.
 
@@ -60,14 +60,16 @@ class TypedTensor:
     type: PregroupType
     array: np.ndarray
 
-    def __post_init__(self):
-        arr = _read_only_float64(self.array)
-        if arr.ndim != len(self.type):
-            raise ContractionError(
-                f"tensor order {arr.ndim} does not match type "
-                f"'{self.type}' with {len(self.type)} factors"
-            )
+    def __init__(self, type: PregroupType, array: np.ndarray):
+        arr = _read_only_float64(array)
+        if arr.ndim != len(type):
+            raise ContractionError(f"tensor order {arr.ndim} does not match type '{type}' "
+                                   f"with {len(type)} factors")
+        object.__setattr__(self, "type", type)
         object.__setattr__(self, "array", arr)
+
+    def __reduce__(self):  # a copy or an unpickled tensor is built by __init__, so read-only
+        return self.__class__, (self.type, self.array)
 
     @property
     def order(self) -> int:
@@ -215,7 +217,7 @@ def _wire_parts(obj: dict) -> tuple[tuple[int, ...], list]:
         raise ValueError("need 'shape' and 'data'")
     shape, data = obj["shape"], obj["data"]
     # exact type checks: JSON true/false load as bool, an int subclass
-    if not isinstance(shape, list) or not all(type(d) is int and d >= 1 for d in shape):
+    if not isinstance(shape, list) or [d for d in shape if type(d) is not int or d < 1]:
         raise ValueError(f"bad shape {shape}")
     if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
         raise ValueError("'data' must be a flat list of numbers")

@@ -925,6 +925,130 @@ class TestNumpyFreeStartup:
         assert out.startswith("{T Mary likes} {R musicals}\nanalysis 1: pattern single-rheme\n")
 
 
+
+class TestTooDeepJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [("meaning", "{T a} {R b}", "--lexicon"), ("truth", "a likes b", "--universe")],
+        ids=["lexicon", "universe"],
+    )
+    def test_one_parse_error_line_exit_two(self, run, tmp_path, argv):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000)
+        assert run(*argv, str(p)) == (
+            2, "", f"error: {p}: parse error: maximum recursion depth exceeded while decoding "
+            "a JSON array from a unicode string\n")
+
+
+_CHOICE = "invalid choice: 'xml' (choose from 'json', 'text')"
+
+
+class TestArgumentLines:
+    """Whole error lines and help texts.  A named command's arguments go to its own parser;
+    no command, an unknown one or a leading option goes through the top-level parser."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("reduce",), "the following arguments are required: input"),
+            (("reduce", "n", "--format", "xml"), f"argument --format: {_CHOICE}"),
+            (("reduce", "n", "--bogus"), "unrecognized arguments: --bogus"),
+            (("meaning", "{T t} {R r}"), "the following arguments are required: --lexicon"),
+            (("meaning", "x", "--lexicon", "l.json", "--format", "xml"),
+             f"argument --format: {_CHOICE}"),
+            (("meaning", "x", "--lexicon", "l.json", "--bogus"), "unrecognized arguments: --bogus"),
+            (("compare", "a"), "the following arguments are required: b, --lexicon"),
+            (("compare", "a", "b", "--lexicon", "l.json", "--format", "xml"),
+             f"argument --format: {_CHOICE}"),
+            (("compare", "a", "b", "--lexicon", "l.json", "--bogus"),
+             "unrecognized arguments: --bogus"),
+            (("truth", "a b c"), "the following arguments are required: --universe"),
+            (("truth", "a b c", "--universe", "u.json", "--format", "xml"),
+             f"argument --format: {_CHOICE}"),
+            (("truth", "a b c", "--universe", "u.json", "--bogus"),
+             "unrecognized arguments: --bogus"),
+            ((), "the following arguments are required: command"),
+            (("parse",), "argument command: invalid choice: 'parse' "
+             "(choose from 'reduce', 'meaning', 'compare', 'truth', 'selfcheck')"),
+            (("--bogus", "reduce", "n"), "unrecognized arguments: --bogus"),
+        ],
+        ids=["reduce-missing", "reduce-format", "reduce-unrecognized",
+             "meaning-missing", "meaning-format", "meaning-unrecognized",
+             "compare-missing", "compare-format", "compare-unrecognized",
+             "truth-missing", "truth-format", "truth-unrecognized",
+             "no-command", "unknown-command", "leading-option"],
+    )
+    def test_error_line(self, run, argv, err):
+        assert run(*argv) == (2, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("command", ["reduce", "meaning", "compare", "truth"])
+    def test_abbreviated_option_is_accepted(self, run, lexicon_path, universe_path, command):
+        sentence = "{T Mary likes} {R musicals}"
+        argv, option, path = {
+            "reduce": (("reduce", "Mary likes musicals"), "--lexicon", lexicon_path),
+            "meaning": (("meaning", sentence), "--lexicon", lexicon_path),
+            "compare": (("compare", sentence, sentence), "--lexicon", lexicon_path),
+            "truth": (("truth", "John likes Mary"), "--universe", universe_path),
+        }[command]
+        full = run(*argv, option, path, "--format", "json")
+        assert full[0] == 0
+        assert run(*argv, option[:5], path, "--form", "json") == full
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (("reduce", "--help"),
+             "usage: intonsem reduce [-h] [--target TARGET] [--lexicon LEXICON]\n"
+             "                       [--format {json,text}] [--emit-diagram {dot}]\n"
+             "                       input\n\n"
+             "positional arguments:\n"
+             "  input                 a type string like 'n n.r s n.l n', or words when\n"
+             "                        --lexicon is given\n\n"
+             "options:\n"
+             "  -h, --help            show this help message and exit\n"
+             "  --target TARGET       target type (default: s)\n"
+             "  --lexicon LEXICON     lexicon JSON file for word lookup\n"
+             "  --format {json,text}\n"
+             "  --emit-diagram {dot}  emit the first reduction as a Graphviz cup diagram\n"),
+            (("meaning", "--help"),
+             "usage: intonsem meaning [-h] --lexicon LEXICON [--format {json,text}] sentence\n\n"
+             "positional arguments:\n"
+             "  sentence              e.g. '{T Mary likes} {R musicals}'\n\n"
+             "options:\n"
+             "  -h, --help            show this help message and exit\n"
+             "  --lexicon LEXICON\n"
+             "  --format {json,text}\n"),
+            (("compare", "--help"),
+             "usage: intonsem compare [-h] --lexicon LEXICON [--format {json,text}]\n"
+             "                        [--tolerance TOLERANCE]\n"
+             "                        a b\n\n"
+             "positional arguments:\n"
+             "  a\n"
+             "  b\n\n"
+             "options:\n"
+             "  -h, --help            show this help message and exit\n"
+             "  --lexicon LEXICON\n"
+             "  --format {json,text}\n"
+             "  --tolerance TOLERANCE\n"),
+            (("truth", "--help"),
+             "usage: intonsem truth [-h] --universe UNIVERSE [--format {json,text}] query\n\n"
+             "positional arguments:\n"
+             "  query                 e.g. 'John likes Mary' (boundary markers allowed)\n\n"
+             "options:\n"
+             "  -h, --help            show this help message and exit\n"
+             "  --universe UNIVERSE\n"
+             "  --format {json,text}\n"),
+            (("--help",), TestNumpyFreeStartup.HELP),
+        ],
+        ids=["reduce", "meaning", "compare", "truth", "top-level"],
+    )
+    def test_help(self, capsys, monkeypatch, argv, out):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (out, "")
+
 class TestSelfcheck:
     def test_all_pass(self, run):
         code, out, _ = run("selfcheck")

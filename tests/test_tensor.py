@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import json
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,6 +140,36 @@ class TestTypedTensor:
                 assert not s.array.flags.writeable
                 with pytest.raises(ValueError):
                     s.array[(0,) * s.order] = 9.0
+
+    @pytest.mark.parametrize(
+        "remake",
+        [dataclasses.replace, copy.copy, copy.deepcopy,
+         lambda t: pickle.loads(pickle.dumps(t)),
+         lambda t: pickle.loads(pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL))],
+        ids=["replace", "copy", "deepcopy", "pickle", "pickle-highest"],
+    )
+    def test_a_remade_tensor_is_read_only(self, remake):
+        t = TypedTensor(parse_type("n.r s"), np.arange(6.0).reshape(3, 2))
+        u = remake(t)
+        assert type(u) is TypedTensor and u.type == t.type
+        assert np.array_equal(u.array, t.array) and u.array.dtype == np.float64
+        assert not u.array.flags.writeable
+        with pytest.raises(ValueError):
+            u.array[0, 0] = 9.0
+
+    def test_replace_checks_the_new_array(self):
+        t = TypedTensor(parse_type("n"), np.arange(3.0))
+        u = dataclasses.replace(t, array=np.ones(3))
+        assert u.type == t.type and np.array_equal(u.array, np.ones(3))
+        assert not u.array.flags.writeable
+        with pytest.raises(ContractionError):
+            dataclasses.replace(t, array=np.ones((3, 3)))
+
+    @pytest.mark.parametrize("field", ["type", "array"])
+    def test_fields_cannot_be_assigned(self, field):
+        t = TypedTensor(parse_type("n"), np.arange(3.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, field, getattr(t, field))
 
 
 class TestEpsilonContract:

@@ -18,6 +18,8 @@ different runs do not compare.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -68,8 +70,18 @@ def _calls():
     vector = TypedTensor(atom("rho"), rng.random(50))
     alone = ReductionDiagram((), (0,), 1)
 
-    args = cli._build_parser().parse_args(list(wl.long_meaning_argv(sentence)))
+    meaning_argv = list(wl.long_meaning_argv(sentence))
+    args = cli._build_parser().parse_args(meaning_argv)
     _, document, _ = args.func(args)
+    # the parse main makes; a tree without _parse_args parsed through the top level
+    parse = getattr(cli, "_parse_args", cli._build_parser().parse_args)
+    shipped = str(wl.ROOT / wl.SHIPPED_LEXICON)
+    reduce_argv = ["reduce", "Mary likes John", "--lexicon", shipped, "--format", "json"]
+
+    def main_reduce():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(reduce_argv):
+                raise RuntimeError("reduce failed")
 
     wl.write_mix_universe(random.Random(1))
     universe = wl.ROOT / wl.MIX_UNIVERSE
@@ -86,6 +98,9 @@ def _calls():
         ("compose_7_link_theme_d4_us", lambda: compose(typing.senses, typing.diagram)),
         ("stable_json_theme_8_us", lambda: cli._stable_json(document)),
         ("load_universe_32_us", lambda: load_universe(universe)),
+        ("cli_main_reduce_words_us", main_reduce),
+        ("parse_args_meaning_us", lambda: parse(meaning_argv)),
+        ("load_lexicon_shipped_us", lambda: load_lexicon(shipped)),
     ]
 
 
