@@ -154,6 +154,7 @@ class SentenceMeaning:
 
     array: np.ndarray
     pattern: str
+    __reduce__ = TypedTensor.__reduce__  # copies are rebuilt by the constructor, so read-only
 
     def __post_init__(self):  # kept or copied as a TypedTensor's array is
         object.__setattr__(self, "array", _read_only_float64(self.array))
@@ -251,6 +252,8 @@ def type_spans(
 def _analysis(pattern: str, spec: str, typings: tuple[SpanTyping, ...]) -> Analysis:
     values = tuple(t.value for t in typings)
     arr = np.einsum(spec, *(v.array for v in values))
+    if not np.isfinite(arr).all():  # einsum sets no floating-point flags to raise on
+        raise FloatingPointError("overflow encountered in einsum")
     arr.setflags(write=False)  # einsum's own, so the meaning keeps it
     return Analysis(pattern, typings, values, SentenceMeaning(arr, pattern))
 
@@ -265,7 +268,8 @@ def analyses(sentence: AnnotatedSentence, lexicon: Lexicon) -> list[Analysis]:
     all-vector split-theme reading before the matrix relational-rheme
     reading); within a pattern, sense combinations follow lexicon order
     and reductions follow the canonical reduction order.  Each span
-    option is composed once, however many derivations share it.
+    option is composed once, however many derivations share it.  A
+    meaning that is not finite in float64 raises ``FloatingPointError``.
     """
     lexicon.shared_dim()
     return [_analysis(*d) for d in _derivations(sentence, lexicon)]

@@ -335,19 +335,19 @@ def _check(words: Sequence, target: PregroupType) -> None:
 
 def chart_reductions(
     alternatives: Sequence[Sequence[PregroupType]], target: PregroupType
-) -> list[tuple[tuple[int, ...], ReductionDiagram]]:
+) -> Iterator[tuple[tuple[int, ...], ReductionDiagram]]:
     """Every (sense choice, reduction) taking the words to ``target``.
 
     ``alternatives[w]`` lists the candidate types of word w; a sense
     choice holds one index into each list, and the diagram is over the
-    flattened factors of the chosen types.  The result is in canonical
+    flattened factors of the chosen types.  The iterator is in canonical
     order: sense choices in ``itertools.product`` order, then diagrams
-    by their ascending link lists.  The enumeration is one iterative
-    pass over the chart cells that lead to a reduction, so its cost
-    grows with the output; it yields each sense choice's diagrams in
-    canonical order already, and the sort orders the sense choices.
-    Span typing (``intonation._derivations``), ``intonsem reduce`` in
-    both input modes, and :func:`reduce` all enumerate through here.
+    by their ascending link lists.  It is one iterative pass over the
+    chart cells that lead to a reduction, which yields each choice's
+    diagrams in canonical order: with one type per word, a reduction
+    costs its own path alone; with more, a stable sort on the choice
+    waits for the whole pass.  Span typing, ``intonsem reduce``,
+    :func:`reduce` and :func:`grammatical` all enumerate through here.
 
     >>> n, s = atom("n"), atom("s")
     >>> [(c, d.to_json()) for c, d in chart_reductions([[n, s], [n.r @ s]], s)]
@@ -355,8 +355,10 @@ def chart_reductions(
     """
     _check(alternatives, target)
     # The word factors linked into the appended t.r are the survivors.
-    found = [*_Chart([*alternatives, [target.r]]).reductions()]
-    return sorted(found, key=lambda r: (r[0], r[1].links)) if len(found) > 1 else found
+    found = _Chart([*alternatives, [target.r]]).reductions()
+    if max(map(len, alternatives)) == 1:  # one type per word
+        return found
+    return iter(sorted(found, key=lambda r: r[0]))
 
 
 def closest_residual(alternatives: Sequence[Sequence[PregroupType]]) -> PregroupType:
@@ -427,6 +429,4 @@ def reduce(
 
 def grammatical(types: Sequence[PregroupType], target: PregroupType) -> bool:
     """Whether the juxtaposition of ``types`` reduces to ``target``."""
-    _check(types, target)
-    chart = _Chart([*([t] for t in types), [target.r]])
-    return bool(chart.unit[0] >> chart.end & 1)
+    return next(chart_reductions([[t] for t in types], target), None) is not None

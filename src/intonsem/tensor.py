@@ -11,7 +11,7 @@ identity matrix plays the dual role of expanding a wire.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -68,8 +68,8 @@ class TypedTensor:
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "array", arr)
 
-    def __reduce__(self):  # a copy or an unpickled tensor is built by __init__, so read-only
-        return self.__class__, (self.type, self.array)
+    def __reduce__(self):  # any frozen dataclass: copies and unpickling go through its constructor
+        return self.__class__, tuple([getattr(self, f.name) for f in fields(self)])
 
     @property
     def order(self) -> int:

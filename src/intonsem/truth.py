@@ -72,6 +72,7 @@ class Universe:
 class Relation:
     name: str
     matrix: np.ndarray
+    __reduce__ = TypedTensor.__reduce__  # copies are rebuilt by the constructor, so read-only
 
     def __post_init__(self):
         m = _read_only_float64(self.matrix)

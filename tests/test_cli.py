@@ -114,6 +114,33 @@ class TestReduce:
         assert 'f3 [shape=ellipse, label="s"];' in out
         assert out.rstrip().endswith("}")
 
+    @pytest.mark.parametrize("lexicon", [False, True])
+    def test_dot_draws_the_first_listed_reduction(self, run, write_lexicon, lexicon):
+        # six reductions of one type string; with a lexicon, several sense choices too
+        argv = ["reduce", "n n.l n n.l n n.r n n.r n n.r s"]
+        if lexicon:
+            types = {"u": ["n n.l", "n"], "v": ["n n.r", "n.r", "n"], "w": ["s"]}
+            lex = write_lexicon({"dims": {"n": 2, "s": 2, "theta": 2, "rho": 2}, "entries": [
+                {"word": w, "type": t, "shape": [2] * n, "data": [1] * 2**n}
+                for w, ts in types.items() for t in ts for n in [len(t.split())]]})
+            argv = ["reduce", "u u v v v w", "--lexicon", str(lex)]
+        code, out, _ = run(*argv, "--format", "json")
+        listed = json.loads(out)["reductions"]
+        assert code == 0 and len(listed) > 1
+        if lexicon:
+            assert len({tuple(r["word_types"]) for r in listed}) > 1
+        first = listed[0]
+        code, dot, err = run(*argv, "--emit-diagram", "dot")
+        assert (code, err) == (0, "")
+        lines = dot.splitlines()
+        factors = " ".join(first["word_types"]).split() if lexicon else argv[1].split()
+        assert [ln for ln in lines if "[label=" in ln and "ellipse" not in ln] == [
+            f'  f{k} [label="{f}"];' for k, f in enumerate(factors, 1)]
+        assert [ln for ln in lines if "constraint=false" in ln] == [
+            f"  f{i} -- f{j} [constraint=false];" for i, j in first["links"]]
+        assert [ln for ln in lines if "ellipse" in ln] == [
+            f'  f{k} [shape=ellipse, label="{factors[k - 1]}"];' for k in first["survivors"]]
+
     def test_dot_without_reduction(self, run):
         code, _, err = run("reduce", "n n", "--emit-diagram", "dot")
         assert code == 1
@@ -367,6 +394,28 @@ class TestDeterminismMatrix:
         golden = b"".join((GOLDEN_DIR / f"{name}.json").read_bytes()
                           for name, _ in _FIXTURE_SENTENCES)
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", golden)
+
+    def test_blas_thread_count(self, write_lexicon):
+        # the d = 400 theme "a b" is one BLAS matrix product: with two threads and no
+        # one-thread rule, its float sums split differently and the bytes change
+        from test_acceptance import SRC_DIR
+
+        d, rng = 400, np.random.default_rng(400)
+        lex = write_lexicon({"dims": dict.fromkeys(("n", "s", "theta", "rho"), d), "entries": [
+            {"word": w, "type": t, "shape": [d] * n, "data": rng.random(d**n).tolist()}
+            for w, t, n in [("a", "theta n.l", 2), ("b", "n theta", 2), ("r", "rho", 1),
+                            ("q", "rho", 1)]]})
+        argv = ["meaning", "{R r} {T a b} {R q}", "--lexicon", str(lex), "--format", "json"]
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+            env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "MKL_NUM_THREADS"), threads))
+            proc = subprocess.run([sys.executable, "-m", "intonsem.cli", *argv],
+                                  capture_output=True, env=env, timeout=60)
+            outs.append((proc.returncode, proc.stderr, proc.stdout))
+        assert outs[0][:2] == (0, b"") and outs[0] == outs[1]
 
 
 class TestDeepMeaning:

@@ -647,6 +647,36 @@ class TestContractionLimit:
             analyses(parse_annotated("{T A B} {R r}"), lex)
 
 
+class TestOverflow:
+    """A merge past float64 raises ``FloatingPointError`` under numpy's default error
+    state, which np.einsum ignores; every span value here is finite."""
+
+    WORDS = {
+        "a": [("theta", [1.0, 1.0])],
+        "b": [("rho", [1.0, 1.0]), ("rho rho", [[1e300] * 2] * 2)],
+        "c": [("theta", [1e10, 1e10])],
+        "t": [("theta", [1e300, 1.0])],
+        "r": [("rho", [1e10, 1.0])],
+    }
+
+    @pytest.mark.parametrize("call, sentence", [
+        (analyses, "{T t} {R r}"),
+        (meaning, "{T t} {R r}"),
+        (meaning_split_theme, "{T t} {R r} {T a}"),
+        (analyses, "{T a} {R b} {T c}"),  # its relational-rheme reading: 1e300 * 1e10
+    ])
+    def test_an_overflowing_merge_raises(self, call, sentence):
+        lex = _lex(_uniform_dims(2), self.WORDS)
+        with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+            with pytest.raises(FloatingPointError, match="overflow encountered in einsum"):
+                call(parse_annotated(sentence), lex)
+
+    def test_an_unused_overflowing_reading_is_not_computed(self):
+        lex = _lex(_uniform_dims(2), self.WORDS)
+        m = meaning(parse_annotated("{T a} {R b} {T c}"), lex)
+        assert m.pattern == PATTERN_SPLIT and m.array.tolist() == [1e10, 1e10]
+
+
 class TestAmbiguity:
     def test_two_readings_of_one_rheme_span(self):
         d = 3

@@ -91,8 +91,8 @@ def _calls():
     return [
         ("parse_type_chain_37_us", lambda: parse_type(chain)),
         ("load_lexicon_long_spans_us", lambda: load_lexicon(wl.ROOT / wl.LONG_LEXICON)),
-        ("chart_reductions_1_word_us", lambda: chart_reductions(rheme, rho)),
-        ("chart_reductions_8_word_theme_us", lambda: chart_reductions(theme, theta)),
+        ("chart_reductions_1_word_us", lambda: list(chart_reductions(rheme, rho))),
+        ("chart_reductions_8_word_theme_us", lambda: list(chart_reductions(theme, theta))),
         ("epsilon_contract_d32_us", lambda: epsilon_contract(subject, 0, relation, 0)),
         ("compose_no_link_d50_us", lambda: compose([vector], alone)),
         ("compose_7_link_theme_d4_us", lambda: compose(typing.senses, typing.diagram)),
