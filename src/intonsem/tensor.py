@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,9 +20,12 @@ import numpy as np
 from .pregroup import PregroupType, ReductionDiagram, cancels
 
 
+MAX_ELEMENTS = 2 ** 28  # the most elements one merged part may hold: 2 GiB of float64
+
+
 class ContractionError(ValueError):
-    """Shape/type mismatch while contracting tensors, or a merged part
-    past numpy's limit on array axes."""
+    """Shape/type mismatch while contracting tensors, or a merged part past
+    ``MAX_ELEMENTS`` or numpy's limit on array axes."""
 
 
 class UnknownBaseError(ValueError):
@@ -120,16 +124,21 @@ def compose(
 
     The word types are flattened in order and must line up with the
     diagram: same total factor count, every link cancellable with equal
-    axis dimensions.  Links are contracted left-to-right by left
-    endpoint; ``link_order`` (a permutation of range(len(links))) can
-    reschedule them, which never changes the value.
+    axis dimensions, checked in ascending link order before any merge.
+    Links are contracted by right endpoint, innermost first, so on a
+    planar diagram (every reduction) each merge contracts the last axes
+    of one part against the first axes of the other and moves none;
+    ``link_order`` (a permutation of the links sorted by left endpoint)
+    can reschedule them, which never changes the value.
 
     The work is one collection of parts, each an array plus the global
     factor ids of its axes: one part per word to start, kept by label,
-    with ``owner[k]`` the label of factor k's part.  A link between two
-    parts is one tensordot that merges them, a link inside a part one
-    ``np.trace``.  The parts left are folded by outer products and
-    transposed into ascending survivor order, into the read-only result.
+    with ``owner[k]`` the label of factor k's part.  A link inside a part
+    is one ``np.trace``; a run of consecutive links between the same two
+    parts is one tensordot that merges them.  The parts left are folded
+    by outer products and transposed into ascending survivor order, into
+    the read-only result.  A merge or fold whose result would pass
+    ``MAX_ELEMENTS`` raises ``ContractionError`` before allocating it.
     """
     factors = [f for w in words for f in w.type]
     if diagram.size != len(factors):
@@ -137,17 +146,7 @@ def compose(
             f"diagram covers {diagram.size} factors but the words have {len(factors)}"
         )
     links = sorted(diagram.links)
-    if link_order is not None:
-        if sorted(link_order) != list(range(len(links))):
-            raise ValueError("link_order must be a permutation of the link indices")
-        links = [links[k] for k in link_order]
-
     dims = [n for w in words for n in w.array.shape]
-    parts, owner = {}, []
-    for n, w in enumerate(words):
-        parts[n] = (w.array, list(range(len(owner), len(owner) + w.order)))
-        owner += [n] * w.order
-
     for i, j in links:
         if not cancels(factors[i], factors[j]):
             raise ContractionError(
@@ -158,39 +157,77 @@ def compose(
             raise ContractionError(
                 f"dimension mismatch on link ({i + 1}, {j + 1}): {dims[i]} vs {dims[j]}"
             )
-        arr, ids = parts.pop(owner[i])
-        if owner[j] == owner[i]:
+    if link_order is None:
+        links.sort(key=itemgetter(1))
+    else:
+        if sorted(link_order) != list(range(len(links))):
+            raise ValueError("link_order must be a permutation of the link indices")
+        links = [links[k] for k in link_order]
+
+    parts, owner = {}, []
+    for n, w in enumerate(words):
+        parts[n] = (w.array, list(range(len(owner), len(owner) + w.order)))
+        owner += [n] * w.order
+
+    step = 0
+    while step < len(links):
+        i, j = gone = links[step]
+        p, q = owner[i], owner[j]
+        arr, ids = parts.pop(p)
+        step += 1
+        if p == q:
             arr = np.trace(arr, axis1=ids.index(i), axis2=ids.index(j))
         else:
-            arr_j, ids_j = parts.pop(owner[j])
+            arr_j, ids_j = parts.pop(q)
+            ia, ib, d = [ids.index(i)], [ids_j.index(j)], dims[i]
+            while step < len(links) and owner[links[step][0]] == p and owner[links[step][1]] == q:
+                k, m = links[step]
+                ia.append(ids.index(k))
+                ib.append(ids_j.index(m))
+                gone, d, step = gone + (k, m), d * dims[k], step + 1
             try:
-                arr = _tensordot(arr, ids.index(i), arr_j, ids_j.index(j))
-            except (ValueError, MemoryError) as exc:  # past numpy's axis limit, or out of memory
+                _check_size(arr.size // d * (arr_j.size // d))
+                arr = _tensordot(arr, ia, arr_j, ib)
+            except (ValueError, MemoryError) as exc:  # past the limits on size or axes, or memory
                 raise ContractionError(f"cannot contract link ({i + 1}, {j + 1}): {exc}") from exc
             for k in ids_j:
-                owner[k] = owner[i]
+                owner[k] = p
             ids = ids + ids_j
-        parts[owner[i]] = (arr, [k for k in ids if k not in (i, j)])
+        parts[p] = (arr, [k for k in ids if k not in gone])
 
     (out, ids), *rest = parts.values() or [(np.asarray(1.0), [])]
-    for arr, part_ids in rest:
-        try:
+    try:
+        if rest:
+            _check_size(math.prod([out.size] + [arr.size for arr, _ in rest]))
+        for arr, part_ids in rest:
             out = np.multiply.outer(out, arr)
-        except (ValueError, MemoryError) as exc:  # past numpy's axis limit, or out of memory
-            raise ContractionError(f"cannot fold the unlinked parts: {exc}") from exc
-        ids += part_ids
+            ids += part_ids
+    except (ValueError, MemoryError) as exc:  # past the limits on size or axes, or memory
+        raise ContractionError(f"cannot fold the unlinked parts: {exc}") from exc
     out = view = out if ids == sorted(ids) else out.transpose(np.argsort(ids))
     while view is not None and view.flags.writeable:  # compose's own: the words' are read-only
         view.flags.writeable, view = False, view.base
     return TypedTensor(PregroupType([factors[k] for k in diagram.survivors]), out)
 
 
-def _tensordot(a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:
-    """``np.tensordot(a, b, axes=(i, j))``'s transposes, reshapes and BLAS dot, no checks."""
-    d, ra, rb = a.shape[i], a.shape[:i] + a.shape[i + 1:], b.shape[:j] + b.shape[j + 1:]
-    a = a.transpose([*range(i), *range(i + 1, a.ndim), i]) if i + 1 < a.ndim else a
-    b = b.transpose([j, *range(j), *range(j + 1, b.ndim)]) if j else b
-    return np.dot(a.reshape(math.prod(ra), d), b.reshape(d, math.prod(rb))).reshape(ra + rb)
+def _check_size(count: int) -> None:
+    """Raise ``ValueError`` if a result of ``count`` elements would pass ``MAX_ELEMENTS``."""
+    if count > MAX_ELEMENTS:
+        raise ValueError(f"the result would hold {count} elements, past the limit of {MAX_ELEMENTS}")
+
+
+def _tensordot(a: np.ndarray, ia: list[int], b: np.ndarray, ib: list[int]) -> np.ndarray:
+    """``np.tensordot(a, b, axes=(ia, ib))``'s transposes, reshapes and BLAS dot, no checks;
+    pairs in the larger operand's axis order, so only the smaller one may be copied."""
+    if len(ia) > 1:
+        ia, ib = map(list, zip(*sorted(zip(ia, ib), key=itemgetter(a.size < b.size))))
+    n, m = len(ia), a.ndim - len(ia)
+    if ia != [*range(m, a.ndim)]:
+        a = a.transpose([k for k in range(a.ndim) if k not in ia] + ia)
+    if ib != [*range(n)]:
+        b = b.transpose(ib + [k for k in range(b.ndim) if k not in ib])
+    d = math.prod(b.shape[:n])
+    return np.dot(a.reshape(-1, d), b.reshape(d, -1)).reshape(a.shape[:m] + b.shape[n:])
 
 
 def tensor_to_json(arr: np.ndarray) -> dict:

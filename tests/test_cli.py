@@ -440,9 +440,14 @@ class TestDeepMeaning:
 
 
 class TestContractionLimit:
-    @pytest.mark.parametrize("command", ["meaning", "compare"])
-    def test_part_past_numpy_axis_limit_exits_one(self, run, write_lexicon, command):
-        # A and B merge over one link into a 79-axis part
+    @pytest.mark.parametrize("command, want", [
+        ("meaning", "{T A B} {R r}\nanalysis 1: pattern single-rheme\n  theme 'A B' -> theta: [6]\n"
+                    "  rheme 'r' -> rho: [1]\n  meaning (order 1): [6]\n"),
+        ("compare", "cosine: 1\ndistance: 0\nequal (within 1.0000000000000001e-09): true\n"),
+    ], ids=["meaning", "compare"])
+    def test_forty_nested_links_compute(self, run, write_lexicon, command, want):
+        # A and B share 40 nested links, merged by one tensordot: one link at a time
+        # made a 79-axis part, past numpy's axis limit, and exited 1
         lex = write_lexicon({
             "dims": {"n": 1, "s": 1, "theta": 1, "rho": 1},
             "entries": [
@@ -453,10 +458,71 @@ class TestContractionLimit:
         })
         sentence = "{T A B} {R r}"
         argv = [command, sentence] + [sentence] * (command == "compare")
-        code, out, err = run(*argv, "--lexicon", str(lex))
+        assert run(*argv, "--lexicon", str(lex)) == (0, want, "")
+
+    def test_nineteen_nested_links_at_d2_compute(self, write_lexicon):
+        # theta n.l^19 against n^19: the outermost link first made a 2**37-element
+        # (1 TiB) part; merged at once, the theme is a 2-vector
+        from test_acceptance import SRC_DIR
+
+        lex = write_lexicon({
+            "dims": {"n": 2, "s": 2, "theta": 2, "rho": 2},
+            "entries": [
+                {"word": "A", "type": "theta" + " n.l" * 19, "shape": [2] * 20,
+                 "data": [1] * 2**19 + [2] * 2**19},
+                {"word": "B", "type": " ".join(["n"] * 19), "shape": [2] * 19, "data": [1] * 2**19},
+                {"word": "r", "type": "rho", "shape": [2], "data": [3, 1]},
+            ],
+        })
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "intonsem.cli", "meaning", "{T A B} {R r}", "--lexicon", str(lex)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[2:] == [
+            "  theme 'A B' -> theta: [524288, 1048576]",
+            "  rheme 'r' -> rho: [3, 1]",
+            "  meaning (order 1): [1572864, 1048576]",
+        ]
+
+    def test_a_merge_past_the_real_limit_exits_one_in_a_child(self, write_lexicon):
+        # theta s.l^17 n.l | n n.l^17 | n^17 | s^17 at d = 2: innermost first, A and B
+        # merge first and would hold 2**35 elements, refused before anything is allocated
+        from test_acceptance import SRC_DIR
+
+        types = {"A": "theta" + " s.l" * 17 + " n.l", "B": "n" + " n.l" * 17,
+                 "C": " ".join(["n"] * 17), "D": " ".join(["s"] * 17), "r": "rho"}
+        lex = write_lexicon({"dims": dict.fromkeys(("n", "s", "theta", "rho"), 2), "entries": [
+            {"word": w, "type": t, "shape": [2] * len(t.split()), "data": [1] * 2 ** len(t.split())}
+            for w, t in types.items()
+        ]})
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "intonsem.cli", "meaning", "{T A B C D} {R r}", "--lexicon",
+             str(lex)], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: cannot contract link (19, 20): the result would hold "
+                               f"{2**35} elements, past the limit of {2**28}\n")
+
+    def test_a_merge_past_the_element_limit_exits_one(self, run, write_lexicon, monkeypatch):
+        # at d = 2 and a limit of 7 elements: the theme u v merges into 2, then the
+        # rheme's first merge, x y = rho n.l | n s.l s.l, would hold 8
+        merges, real = [], tensor._tensordot
+        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 7)
+        monkeypatch.setattr(tensor, "_tensordot", lambda *args: merges.append(args) or real(*args))
+        words = {"u": "theta n.l", "v": "n", "t": "theta", "x": "rho n.l", "y": "n s.l s.l",
+                 "z": "s", "w": "s rho"}
+        lex = write_lexicon({"dims": dict.fromkeys(("n", "s", "theta", "rho"), 2), "entries": [
+            {"word": w, "type": t, "shape": [2] * len(t.split()), "data": [1] * 2 ** len(t.split())}
+            for w, t in words.items()
+        ]})
+        code, out, err = run("meaning", "{T u v} {R x y z w} {T t}", "--lexicon", str(lex))
         assert (code, out) == (1, "")
-        assert err.startswith("error: cannot contract link (2, 81): ")
-        assert err.count("\n") == 1
+        assert err == ("error: cannot contract link (2, 3): the result would hold 8 elements, "
+                       "past the limit of 7\n")
+        assert [(a.shape, b.shape) for a, _, b, _ in merges] == [((2, 2), (2,))]
 
     def test_merge_past_memory_exits_one(self, run, lexicon_path, monkeypatch):
         def no_memory(*args):

@@ -455,6 +455,78 @@ class TestCompose:
         with pytest.raises(ContractionError):
             compose([a, b], d)
 
+    @pytest.mark.parametrize("order", [None, *itertools.permutations(range(2))])
+    def test_every_schedule_names_the_lowest_bad_link(self, order):
+        # n (s s) n: both links join non-cancelling factors; innermost-first reaches (2, 3)
+        # first and link_order [1, 0] too, but every link is checked before any merge
+        words = [TypedTensor(parse_type(t), np.zeros((2,) * len(t.split())))
+                 for t in ("n s", "s n")]
+        d = ReductionDiagram(((0, 3), (1, 2)), (), 4)
+        with pytest.raises(ContractionError) as info:
+            compose(words, d, link_order=order)
+        assert str(info.value) == "link (1, 4) joins non-cancelling factors 'n' and 'n'"
+
+    def test_schedule_never_moves_an_axis(self, monkeypatch):
+        # innermost-first: each merge contracts the last axes of the part holding the
+        # links' left ends against the first axes of the other part, so no operand is
+        # transposed into a copy; checked on random planar diagrams and the ditransitive
+        merges, real = [], tensor._tensordot
+
+        def spy(a, ia, b, ib):
+            merges.append((a.ndim, list(ia), list(ib)))
+            return real(a, ia, b, ib)
+
+        monkeypatch.setattr(tensor, "_tensordot", spy)
+        rng = np.random.default_rng(5)
+        spaces = {"n": 2, "s": 2, "theta": 2, "rho": 2}
+        cases = [([atom("n"), parse_type("n.r s n.l n.l"), atom("n"), atom("n")], atom("s"))]
+        cases += [(inverse_reduce_sequence(rng, [atom("s")[0]]), atom("s")) for _ in range(300)]
+        for types, target in cases:
+            words = _random_words(rng, types, spaces)
+            for d in reduce(types, target):
+                assert np.array_equal(compose(words, d).array, naive_contract(words, d))
+        assert len(merges) > 300
+        for ndim, ia, ib in merges:
+            k = len(ia)
+            if k == 1:
+                assert (ia, ib) == ([ndim - 1], [0])
+            assert sorted(ia) == list(range(ndim - k, ndim)) and sorted(ib) == list(range(k))
+
+    def test_nested_links_between_two_words_merge_at_once(self, monkeypatch):
+        # theta n.l^40 against n^40: one tensordot over all 40 links, where one link at
+        # a time made a 79-axis part, past numpy's axis limit (64 in numpy 2)
+        merges, real = [], tensor._tensordot
+        monkeypatch.setattr(tensor, "_tensordot", lambda *args: merges.append(args) or real(*args))
+        a = TypedTensor(parse_type("theta" + " n.l" * 40), np.full((1,) * 41, 2.0))
+        b = TypedTensor(parse_type(" ".join(["n"] * 40)), np.full((1,) * 40, 3.0))
+        (d,) = reduce([a.type, b.type], atom("theta"))
+        out = compose([a, b], d)
+        assert out.array.tolist() == [6.0] and len(merges) == 1
+
+    def test_merge_past_the_element_limit_raises_before_allocating(self, monkeypatch):
+        # A = theta p.l^17 n.l, B = n, C = p^17 at d = 2.  Taken first, the innermost
+        # A-C link leaves A's and C's other 16 legs open: 2**34 elements
+        merges = []
+        monkeypatch.setattr(tensor, "_tensordot", lambda *args: merges.append(args))
+        spaces = {"theta": 2, "n": 2, "p": 2}
+        types = [parse_type("theta" + " p.l" * 17 + " n.l"), atom("n"),
+                 parse_type(" ".join(["p"] * 17))]
+        words = [TypedTensor(t, np.ones(semantic_shape(t, spaces))) for t in types]
+        (d,) = reduce(types, atom("theta"))
+        with pytest.raises(ContractionError) as info:
+            compose(words, d, link_order=[16, 17, *range(16)])
+        assert str(info.value) == ("cannot contract link (18, 21): the result would hold "
+                                   f"{2**34} elements, past the limit of {2**28}")
+        assert merges == [] and tensor.MAX_ELEMENTS == 2**28
+
+    def test_fold_past_the_element_limit_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(np, "multiply", SimpleNamespace(outer=_no_memory))
+        w = TypedTensor(PregroupType(atom("n").factors * 17), np.ones((2,) * 17))
+        with pytest.raises(ContractionError) as info:
+            compose([w, w], ReductionDiagram((), tuple(range(34)), 34))
+        assert str(info.value) == ("cannot fold the unlinked parts: the result would hold "
+                                   f"{2**34} elements, past the limit of {2**28}")
+
 
 class TestDitransitiveBracketing:
     def test_orders_agree(self):

@@ -9,9 +9,11 @@ come from that checkout's ``perfbench/workloads.py``, so two checkouts are
 timed on the same inputs.  A round starts one child process per tree, which
 times every call ``REPEATS`` times, about 10 ms a timing, in microseconds per
 call; the trees take turns going first, so the host's slow phases fall on all
-of them alike.  Each figure is the fastest timing of all rounds.  When the
-trees include ``parent`` and ``change``, the file also gets their ratios
-(parent time / change time).  The file holds the last run only: figures from
+of them alike.  The children run BLAS on one thread, as the ``intonsem``
+command does: with two, the d = 50 ditransitive read 1.2 ms or 8 ms by whether
+the host's other CPU was free.  Each figure is the fastest timing of all
+rounds.  When the trees include ``parent`` and ``change``, the file also gets
+their ratios (parent time / change time).  The file holds the last run only: figures from
 different runs do not compare.
 """
 
@@ -69,6 +71,10 @@ def _calls():
     relation = TypedTensor(verb, rng.random((32, 1, 32)))
     vector = TypedTensor(atom("rho"), rng.random(50))
     alone = ReductionDiagram((), (0,), 1)
+    # dense-library's ditransitive theme: subject, n.r theta n.l n.l, two objects
+    ditransitive = [parse_type(t) for t in ("n", "n.r theta n.l n.l", "n", "n")]
+    gives = [TypedTensor(t, rng.random((wl.DENSE_DIM,) * len(t))) for t in ditransitive]
+    (_, gives_diagram), = chart_reductions([[t] for t in ditransitive], atom("theta"))
 
     meaning_argv = list(wl.long_meaning_argv(sentence))
     args = cli._build_parser().parse_args(meaning_argv)
@@ -96,6 +102,7 @@ def _calls():
         ("epsilon_contract_d32_us", lambda: epsilon_contract(subject, 0, relation, 0)),
         ("compose_no_link_d50_us", lambda: compose([vector], alone)),
         ("compose_7_link_theme_d4_us", lambda: compose(typing.senses, typing.diagram)),
+        ("compose_ditransitive_d50_us", lambda: compose(gives, gives_diagram)),
         ("stable_json_theme_8_us", lambda: cli._stable_json(document)),
         ("load_universe_32_us", lambda: load_universe(universe)),
         ("cli_main_reduce_words_us", main_reduce),
@@ -125,12 +132,14 @@ def main(argv=None) -> int:
     trees = dict(t.split("=", 1) for t in args.tree or [f"change={HERE}"])
     trees = {label: Path(d).resolve() for label, d in trees.items()}
 
+    env = dict(os.environ, **dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     best = {label: {} for label in trees}
     for k in range(ROUNDS):
         order = list(trees)[k % len(trees):] + list(trees)[:k % len(trees)]
         for label in order:
             proc = subprocess.run([sys.executable, "-c", _CHILD, str(trees[label])],
-                                  cwd=trees[label], capture_output=True, text=True)
+                                  cwd=trees[label], capture_output=True, text=True, env=env)
             if proc.returncode:
                 raise SystemExit(f"{label}: the timing process failed:\n{proc.stderr}")
             for name, t in json.loads(proc.stdout).items():
