@@ -51,7 +51,8 @@ def zeta(dim: int) -> np.ndarray:
 
 
 def spider(inputs: int, outputs: int, dim: int) -> np.ndarray:
-    """Generalized Kronecker delta of order inputs + outputs.
+    """Generalized Kronecker delta of order inputs + outputs: the dense
+    array of ``Spider(inputs, outputs, dim)``, whose checks it shares.
 
     Entry 1.0 exactly when all indices agree, 0.0 otherwise.  At least
     one leg is required.
@@ -59,16 +60,7 @@ def spider(inputs: int, outputs: int, dim: int) -> np.ndarray:
     >>> spider(1, 1, 3).tolist()
     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     """
-    order = inputs + outputs
-    if order < 1:
-        raise ValueError("a spider needs at least one leg")
-    if inputs < 0 or outputs < 0:
-        raise ValueError("leg counts must be non-negative")
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    t = np.zeros((dim,) * order)
-    t[(np.arange(dim),) * order] = 1.0
-    return t
+    return Spider(inputs, outputs, dim).array()
 
 
 @dataclass(frozen=True)
@@ -82,9 +74,16 @@ class Spider:
     def __post_init__(self):
         if self.inputs + self.outputs < 1:
             raise ValueError("a spider needs at least one leg")
+        if self.inputs < 0 or self.outputs < 0:
+            raise ValueError("leg counts must be non-negative")
+        if self.dim < 1:
+            raise ValueError("dimension must be positive")
 
     def array(self) -> np.ndarray:
-        return spider(self.inputs, self.outputs, self.dim)
+        order = self.inputs + self.outputs
+        t = np.zeros((self.dim,) * order)
+        t[(np.arange(self.dim),) * order] = 1.0
+        return t
 
 
 def fuse(a: Spider, b: Spider, wires: int = 1) -> Spider | float:
@@ -118,21 +117,12 @@ def mu_tensor(dim: int) -> np.ndarray:
     return spider(2, 1, dim)
 
 
-def frobenius_condition_check(
-    dim: int,
-    delta3: np.ndarray | None = None,
-    mu3: np.ndarray | None = None,
-) -> bool:
-    """Whether (mu x 1)(1 x delta) == delta . mu == (1 x mu)(delta x 1).
-
-    With the canonical order-3 tensors this holds exactly at every
-    dimension; passing a perturbed ``delta3`` or ``mu3`` lets callers
-    probe the failure case.
+def frobenius_condition_check(dim: int) -> bool:
+    """Whether (mu x 1)(1 x delta) == delta . mu == (1 x mu)(delta x 1) for
+    ``delta_tensor(dim)`` and ``mu_tensor(dim)``, looked up in this module at
+    each call.  It holds exactly at every dimension.
     """
-    d = delta_tensor(dim) if delta3 is None else np.asarray(delta3, dtype=np.float64)
-    m = mu_tensor(dim) if mu3 is None else np.asarray(mu3, dtype=np.float64)
-    if d.shape != (dim,) * 3 or m.shape != (dim,) * 3:
-        raise ValueError("delta3 and mu3 must be order-3 tensors over dim")
+    d, m = delta_tensor(dim), mu_tensor(dim)
     # (mu x 1)(1 x delta): contract delta's first output into mu's second input.
     left = np.tensordot(m, d, axes=(1, 1)).transpose(0, 2, 1, 3)
     # delta . mu: merge, then copy the result.

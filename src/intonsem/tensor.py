@@ -115,11 +115,7 @@ def epsilon_contract(
     return compose([a, b], ReductionDiagram(((i, j),), rest, na + nb))
 
 
-def compose(
-    words: Sequence[TypedTensor],
-    diagram: ReductionDiagram,
-    link_order: Sequence[int] | None = None,
-) -> TypedTensor:
+def compose(words: Sequence[TypedTensor], diagram: ReductionDiagram) -> TypedTensor:
     """Evaluate a reduction diagram on word tensors.
 
     The word types are flattened in order and must line up with the
@@ -127,9 +123,7 @@ def compose(
     axis dimensions, checked in ascending link order before any merge.
     Links are contracted by right endpoint, innermost first, so on a
     planar diagram (every reduction) each merge contracts the last axes
-    of one part against the first axes of the other and moves none;
-    ``link_order`` (a permutation of the links sorted by left endpoint)
-    can reschedule them, which never changes the value.
+    of one part against the first axes of the other and moves none.
 
     The work is one collection of parts, each an array plus the global
     factor ids of its axes: one part per word to start, kept by label,
@@ -157,12 +151,7 @@ def compose(
             raise ContractionError(
                 f"dimension mismatch on link ({i + 1}, {j + 1}): {dims[i]} vs {dims[j]}"
             )
-    if link_order is None:
-        links.sort(key=itemgetter(1))
-    else:
-        if sorted(link_order) != list(range(len(links))):
-            raise ValueError("link_order must be a permutation of the link indices")
-        links = [links[k] for k in link_order]
+    links.sort(key=itemgetter(1))
 
     parts, owner = {}, []
     for n, w in enumerate(words):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from intonsem import frobenius
 from intonsem.frobenius import (
     boundary_tensor,
     delta_tensor,
@@ -141,14 +142,18 @@ def test_03_combinatory_transparency():
     _report(3, "ditransitive bracketings agree to 1e-12", ok)
 
 
-def test_04_frobenius_condition():
+def test_04_frobenius_condition(monkeypatch):
     ok = all(frobenius_condition_check(d) for d in range(1, 9))
     bad_delta = delta_tensor(3).copy()
     bad_delta[0, 0, 1] += 1e-3
-    ok = ok and not frobenius_condition_check(3, delta3=bad_delta)
+    with monkeypatch.context() as m:
+        m.setattr(frobenius, "delta_tensor", lambda dim: bad_delta)
+        ok = ok and not frobenius_condition_check(3)
     bad_mu = mu_tensor(5).copy()
     bad_mu[0, 1, 2] += 1e-3
-    ok = ok and not frobenius_condition_check(5, mu3=bad_mu)
+    with monkeypatch.context() as m:
+        m.setattr(frobenius, "mu_tensor", lambda dim: bad_mu)
+        ok = ok and not frobenius_condition_check(5)
     _report(4, "Frobenius condition exact at dims 1-8, negative control fails", ok)
 
 

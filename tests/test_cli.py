@@ -537,7 +537,7 @@ class TestContractionLimit:
 class TestWriteFailures:
     # the failure is the process's own stdout or stderr, so each case runs in a child
     @staticmethod
-    def _child(argv, stdout, stderr):
+    def _child(argv, stdout, stderr, run=("-m", "intonsem.cli")):
         from conftest import DATA_DIR
 
         src = str(DATA_DIR.parent.parent)
@@ -545,7 +545,7 @@ class TestWriteFailures:
             filter(None, [src, os.environ.get("PYTHONPATH")])
         )}
         return subprocess.run(
-            [sys.executable, "-m", "intonsem.cli", *argv],
+            [sys.executable, *run, *argv],
             stdout=stdout, stderr=stderr, env=env, timeout=60,
         )
 
@@ -569,6 +569,19 @@ class TestWriteFailures:
             proc = self._reduce_to(full)
         assert proc.returncode == 1
         assert proc.stderr.decode() == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_a_failed_write_leaves_no_descriptor_open(self):
+        count = "len(os.listdir('/proc/self/fd'))"
+        script = (f"import os, sys; from intonsem import cli; before = {count}; "
+                  f"code = cli.main(sys.argv[1:]); print(code, before, {count}, file=sys.stderr)")
+        with open("/dev/full", "wb") as full:
+            proc = self._child(["reduce", "n n.r s"], full, subprocess.PIPE, run=("-c", script))
+        error, counts = proc.stderr.decode().splitlines()
+        assert error == f"error: cannot write output: {os.strerror(errno.ENOSPC)}"
+        code, before, after = counts.split()
+        assert code == "1" and before == after
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_stderr_keeps_the_failures_exit_code(self):
@@ -1164,6 +1177,13 @@ class TestArgumentLines:
         assert exc.value.code == 0
         assert capsys.readouterr() == (out, "")
 
+def _perturbed_copy_tensor(dim):
+    t = frobenius.spider(1, 2, dim)
+    if dim > 1:
+        t[0, 0, 1] += 1e-3  # an entry off the diagonal
+    return t
+
+
 class TestSelfcheck:
     def test_all_pass(self, run):
         code, out, _ = run("selfcheck")
@@ -1176,11 +1196,12 @@ class TestSelfcheck:
         "name, broken, failing",
         [
             ("delta", lambda v: np.diag(2 * v), "copy/merge round trips"),
+            ("delta_tensor", _perturbed_copy_tensor, "frobenius condition (dims 1-8)"),
             ("fuse", lambda a, b, wires=1: a, "spider fusion sample"),
             # column maxima: exact on non-negative diagonal or equal-row matrices
             ("mu", lambda w: np.max(w, axis=0), "copy/merge round trips"),
         ],
-        ids=["delta", "fuse", "mu"],
+        ids=["delta", "delta_tensor", "fuse", "mu"],
     )
     def test_a_broken_map_fails_its_property_alone(
         self, run, monkeypatch, name, broken, failing

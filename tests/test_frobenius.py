@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from intonsem import frobenius
 from intonsem.frobenius import (
     Spider,
     boundary_tensor,
@@ -116,6 +117,17 @@ class TestSpider:
         with pytest.raises(ValueError, match="^a spider needs at least one leg$"):
             Spider(0, 0, 3)
 
+    @pytest.mark.parametrize("legs, message", [
+        ((-1, 2, 3), "leg counts must be non-negative"),
+        ((2, -1, 3), "leg counts must be non-negative"),
+        ((1, 1, 0), "dimension must be positive"),
+    ])
+    def test_symbolic_spider_rejects_what_spider_rejects(self, legs, message):
+        for build in (Spider, spider):
+            with pytest.raises(ValueError) as info:
+                build(*legs)
+            assert str(info.value) == message
+
 
 class TestFuse:
     def test_symbolic_example(self):
@@ -162,21 +174,17 @@ class TestFrobeniusCondition:
         for dim in range(1, 9):
             assert frobenius_condition_check(dim)
 
-    def test_fails_for_perturbed_copy(self):
+    def test_fails_for_perturbed_copy(self, monkeypatch):
         d3 = delta_tensor(3).copy()
         d3[0, 0, 1] += 1e-3
-        assert not frobenius_condition_check(3, delta3=d3)
+        monkeypatch.setattr(frobenius, "delta_tensor", lambda dim: d3)
+        assert not frobenius_condition_check(3)
 
-    def test_fails_for_perturbed_merge(self):
+    def test_fails_for_perturbed_merge(self, monkeypatch):
         m3 = mu_tensor(4).copy()
         m3[1, 2, 3] += 1e-3
-        assert not frobenius_condition_check(4, mu3=m3)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            frobenius_condition_check(3, delta3=np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            frobenius_condition_check(3, mu3=np.zeros((2, 2, 2)))
+        monkeypatch.setattr(frobenius, "mu_tensor", lambda dim: m3)
+        assert not frobenius_condition_check(4)
 
     def test_composites_built_explicitly(self):
         # spell out (mu x 1)(1 x delta) with loops and compare
