@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import pickle
 from types import SimpleNamespace
@@ -471,12 +472,17 @@ class TestCompose:
         with pytest.raises(ContractionError):
             compose([a, b], d)
 
-    def test_names_the_lowest_bad_link(self):
+    @pytest.mark.parametrize("order", [None, *itertools.permutations(range(2))])
+    def test_every_schedule_names_the_lowest_bad_link(self, order):
         # n (s s) n: both links join non-cancelling factors; innermost-first reaches (2, 3)
-        # first, but every link is checked, in ascending order, before any merge
+        # first, but every link is checked, in ascending order, before any merge, however
+        # the diagram lists its links (order None keeps the listing as given)
         words = [TypedTensor(parse_type(t), np.zeros((2,) * len(t.split())))
                  for t in ("n s", "s n")]
-        d = ReductionDiagram(((0, 3), (1, 2)), (), 4)
+        links = ((0, 3), (1, 2))
+        if order is not None:
+            links = tuple(links[k] for k in order)
+        d = ReductionDiagram(links, (), 4)
         with pytest.raises(ContractionError) as info:
             compose(words, d)
         assert str(info.value) == "link (1, 4) joins non-cancelling factors 'n' and 'n'"
