@@ -177,7 +177,8 @@ class Analysis:
 # Spider normal form of each span pattern: every boundary network over
 # the fixed basis is one spider, so the meaning is a generalized
 # element-wise product of the span values.  Roles -> candidate readings
-# (pattern, per-span targets, einsum spec) in canonical order.
+# (pattern, per-span targets, einsum spec) in canonical order.  _ROLES maps
+# a pattern to its roles, which is one row for each three-span pattern.
 _PATTERNS: dict[tuple[str, ...], list[tuple[str, tuple[PregroupType, ...], str]]] = {
     (THEME, RHEME): [(PATTERN_SINGLE, (_THETA, _RHO), "i,i->i")],
     (RHEME, THEME): [(PATTERN_SINGLE, (_RHO, _THETA), "i,i->i")],
@@ -187,6 +188,7 @@ _PATTERNS: dict[tuple[str, ...], list[tuple[str, tuple[PregroupType, ...], str]]
         (PATTERN_RELATIONAL, (_THETA, _RHO @ _RHO, _THETA), "i,ij,j->ij"),
     ],
 }
+_ROLES = {p: "-".join(roles) for roles, readings in _PATTERNS.items() for p, _, _ in readings}
 
 
 def _derivations(
@@ -258,6 +260,24 @@ def _analysis(pattern: str, spec: str, typings: tuple[SpanTyping, ...]) -> Analy
     return Analysis(pattern, typings, values, SentenceMeaning(arr, pattern))
 
 
+def _analyses(
+    sentence: AnnotatedSentence, lexicon: Lexicon, pattern: str | None = None
+) -> Iterator[Analysis]:
+    """Each derivation's analysis, in canonical order, computed when pulled.
+    With ``pattern``, the roles are checked first, only that pattern's
+    derivations are kept, and a stream without one raises."""
+    if pattern and (got := "-".join(sentence.roles)) != _ROLES[pattern]:
+        raise InfelicitousStructure(f"expected a {_ROLES[pattern]} sentence, got {got}")
+    lexicon.shared_dim()
+    found = False
+    for p, spec, typings in _derivations(sentence, lexicon):
+        if pattern in (None, p):
+            found = True
+            yield _analysis(p, spec, typings)
+    if not found:  # only a kept pattern can leave the stream empty
+        raise InfelicitousStructure(f"no derivation of {sentence} realizes the {pattern} pattern")
+
+
 def analyses(sentence: AnnotatedSentence, lexicon: Lexicon) -> list[Analysis]:
     """Every derivation of the sentence with its meaning, canonical order.
 
@@ -271,8 +291,7 @@ def analyses(sentence: AnnotatedSentence, lexicon: Lexicon) -> list[Analysis]:
     option is composed once, however many derivations share it.  A
     meaning that is not finite in float64 raises ``FloatingPointError``.
     """
-    lexicon.shared_dim()
-    return [_analysis(*d) for d in _derivations(sentence, lexicon)]
+    return list(_analyses(sentence, lexicon))
 
 
 def meaning(sentence: AnnotatedSentence, lexicon: Lexicon) -> SentenceMeaning:
@@ -282,49 +301,24 @@ def meaning(sentence: AnnotatedSentence, lexicon: Lexicon) -> SentenceMeaning:
     the two span vectors; the three-span patterns contract their span
     values by the einsum of their spider normal form.
     """
-    lexicon.shared_dim()
-    return _analysis(*next(_derivations(sentence, lexicon))).meaning
+    return next(_analyses(sentence, lexicon)).meaning
 
 
-def _pattern_meaning(
-    sentence: AnnotatedSentence, lexicon: Lexicon, pattern: str
-) -> SentenceMeaning:
-    # the three-span patterns each sit in exactly one row of the table
-    roles = next(
-        r for r, readings in _PATTERNS.items() if any(p == pattern for p, _, _ in readings)
-    )
-    if sentence.roles != roles:
-        raise InfelicitousStructure(
-            f"expected a {'-'.join(roles)} sentence, got {'-'.join(sentence.roles)}"
-        )
-    lexicon.shared_dim()
-    for found, spec, typings in _derivations(sentence, lexicon):
-        if found == pattern:  # values are computed for this derivation alone
-            return _analysis(found, spec, typings).meaning
-    raise InfelicitousStructure(
-        f"no derivation of {sentence} realizes the {pattern} pattern"
-    )
-
-
-def meaning_multiple_rhemes(
-    sentence: AnnotatedSentence, lexicon: Lexicon
-) -> SentenceMeaning:
+def meaning_multiple_rhemes(sentence: AnnotatedSentence, lexicon: Lexicon) -> SentenceMeaning:
     """Order-2 meaning of a rheme-theme-rheme sentence.
 
     The theme composes to a matrix (type theta.theta); each rheme is
     merged into one of its wires, so the result is
     (rheme1 (x) rheme2) (.) theme-matrix.
     """
-    return _pattern_meaning(sentence, lexicon, PATTERN_DOUBLE)
+    return next(_analyses(sentence, lexicon, PATTERN_DOUBLE)).meaning
 
 
-def meaning_split_theme(
-    sentence: AnnotatedSentence, lexicon: Lexicon
-) -> SentenceMeaning:
+def meaning_split_theme(sentence: AnnotatedSentence, lexicon: Lexicon) -> SentenceMeaning:
     """Order-1 meaning of a theme-rheme-theme sentence with vector spans:
     theme1 (.) rheme (.) theme2 (the spider normal form of the two
     chained boundaries)."""
-    return _pattern_meaning(sentence, lexicon, PATTERN_SPLIT)
+    return next(_analyses(sentence, lexicon, PATTERN_SPLIT)).meaning
 
 
 def boundary_contraction(

@@ -40,6 +40,8 @@ class LexiconEntry:
     senses: tuple[TypedTensor, ...]
 
     def __post_init__(self):
+        if not self.senses:
+            raise LexiconError(f"word {self.word!r} has no senses")
         seen = set()
         for s in self.senses:
             if s.type in seen:

@@ -369,6 +369,8 @@ def closest_residual(alternatives: Sequence[Sequence[PregroupType]]) -> Pregroup
     shortest length reachable, and the path is then read left to
     right, linking each factor to its nearest partner that keeps it.
     """
+    if not all(alternatives):
+        raise ValueError("every word needs at least one type")
     chart = _Chart(alternatives)
     length = [0] * (chart.end + 1)
 

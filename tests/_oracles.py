@@ -5,7 +5,9 @@ by exhaustively rewriting adjacent cancellable pairs, a diagram is
 checked by replaying its links as such rewrites, and contraction is a
 direct sum over all index assignments.  Both are exponential and only
 meant for small inputs.  Whole analyses combine the two per span and
-merge the span values with explicit spider tensors.
+merge the span values with explicit merge tensors.  The cancel rule and
+the merge tensor are written out here too; the library's types are used
+as plain data only.
 """
 
 from __future__ import annotations
@@ -15,8 +17,22 @@ import json
 
 import numpy as np
 
-from intonsem.frobenius import spider
-from intonsem.pregroup import PregroupType, ReductionDiagram, SimpleType, cancels
+from intonsem.pregroup import PregroupType, ReductionDiagram, SimpleType
+
+
+def _cancels(left: SimpleType, right: SimpleType) -> bool:
+    """The contraction rules p p.r -> 1 and p.l p -> 1: the right factor
+    is the left one's right adjoint, one adjoint order up on the same base."""
+    return right.base == left.base and right.z == left.z + 1
+
+
+def _merge_tensor(d: int) -> np.ndarray:
+    """The Frobenius merge d x d -> d over the basis: entry 1 where all
+    three indices agree, 0 elsewhere."""
+    m = np.zeros((d, d, d))
+    for i in range(d):
+        m[i, i, i] = 1.0
+    return m
 
 
 def brute_force_reductions(
@@ -36,7 +52,7 @@ def brute_force_reductions(
             results.add((tuple(sorted(links)), remaining))
         for k in range(len(remaining) - 1):
             i, j = remaining[k], remaining[k + 1]
-            if cancels(factors[i], factors[j]):
+            if _cancels(factors[i], factors[j]):
                 rec(remaining[:k] + remaining[k + 2:], links | {(i, j)})
 
     rec(tuple(range(len(factors))), frozenset())
@@ -65,7 +81,7 @@ def replay(diagram: ReductionDiagram, factors: list[SimpleType]) -> list[SimpleT
         for i, j in sorted(pending):
             k = remaining.index(i) if i in remaining else -1
             if k >= 0 and k + 1 < len(remaining) and remaining[k + 1] == j \
-                    and cancels(factors[i], factors[j]):
+                    and _cancels(factors[i], factors[j]):
                 del remaining[k:k + 2]
                 pending.discard((i, j))
                 break
@@ -88,7 +104,7 @@ def brute_force_contractions(
         results.add(key)
         for k in range(len(remaining) - 1):
             i, j = remaining[k], remaining[k + 1]
-            if cancels(factors[i], factors[j]):
+            if _cancels(factors[i], factors[j]):
                 rec(remaining[:k] + remaining[k + 2:], links | {(i, j)})
 
     rec(tuple(range(len(factors))), frozenset())
@@ -192,9 +208,8 @@ _ORACLE_READINGS = {
 
 
 def _wire(kind: str, values: list[np.ndarray]) -> np.ndarray:
-    """Contract span values with explicit spider tensors (merges)."""
-    d = values[0].shape[0]
-    m3 = spider(2, 1, d)
+    """Contract span values with explicit merge tensors."""
+    m3 = _merge_tensor(values[0].shape[0])
     if kind == "merge":  # mu(a (x) b)
         a, b = values
         return np.tensordot(np.tensordot(m3, a, axes=(0, 0)), b, axes=(0, 0))

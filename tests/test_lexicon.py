@@ -497,6 +497,11 @@ class TestEntryAndLexiconInvariants:
         with pytest.raises(LexiconError, match="duplicate sense"):
             _entry("ann", ("n", np.zeros(4)), ("n", np.ones(4)))
 
+    def test_an_entry_needs_a_sense(self):
+        # a senseless word once reached the span chart and crashed there
+        with pytest.raises(LexiconError, match="^word 'x' has no senses$"):
+            LexiconEntry("x", ())
+
     def test_sense_lookup(self):
         e = _entry("ann", ("n", np.arange(4)))
         assert e.sense(parse_type("n")) is not None

@@ -403,6 +403,10 @@ class TestClosestResidual:
     def test_full_cancellation_reaches_the_unit(self):
         assert closest_residual([[atom("n")], [atom("n").r]]) == PregroupType(())
 
+    def test_a_word_without_types_is_refused(self):
+        with pytest.raises(ValueError, match="^every word needs at least one type$"):
+            closest_residual([[atom("n")], []])
+
     def test_matches_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(400):
