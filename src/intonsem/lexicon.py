@@ -11,6 +11,7 @@ under distinct types; repeating a (word, type) pair is an error.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -125,24 +126,48 @@ def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -e), e
 
 
-def _read(path: Path, kind: str, error: type[ValueError] = LexiconError, parse=json.loads):
-    """``parse`` of the text of the ``kind`` file at ``path``, read as UTF-8: JSON is
-    UTF-8 (RFC 8259), and a sidecar is read as its lexicon is.  A file that cannot be
-    read or decoded raises ``error`` as ``cannot read <kind> <path>: …``, and JSON that does
-    not parse, or nests too deep, as ``<path>: parse error[ at line N]: …``."""
+def _read(path: Path, kind: str, error: type[ValueError] = LexiconError) -> str:
+    """The text of the ``kind`` file at ``path`` as UTF-8 (JSON is UTF-8, RFC 8259, and a sidecar is
+    read as its lexicon is); failure raises ``error`` as ``cannot read <kind> <path>: …``."""
     try:
-        return parse(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {kind} {path}: {exc}") from exc
+
+
+_KEPT = 4  # the successful loads that _load keeps
+_kept: dict = {}  # (kind, text) -> (value, refs) of the last _KEPT of them, oldest first
+
+
+def _load(path: Path, kind: str, error: type[ValueError], build):
+    """``build(path, raw, refs)`` of the JSON ``kind`` file at ``path`` (``raw``, its parse;
+    ``build`` puts the real path and text of the sidecar at each ``data_ref`` in ``refs``), or what
+    a kept call built from the same text and the same ``refs``, read again now.  JSON that does
+    not parse, or nests too deep, raises ``error`` as ``<path>: parse error[ at line N]: …``."""
+    text = _read(path, kind, error)
+    if kept := _kept.pop((kind, text), None):  # one dict call a step: threads cannot trip
+        value, refs = kept
+        with contextlib.suppress(LexiconError):  # a sidecar unreadable now: the full load names it
+            if all(os.path.realpath(path.parent / ref) == real
+                   and _read(Path(real), "vector sidecar") == t for ref, (real, t) in refs.items()):
+                _kept[kind, text] = kept  # now the newest
+                return value
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:  # nested deeper than the decoder can follow
         raise error(f"{path}: parse error: {exc}") from exc
+    refs = {}
+    _kept[kind, text] = kept = build(path, raw, refs), refs
+    for old in list(_kept)[:-_KEPT]:  # the least recently used
+        _kept.pop(old, None)
+    return kept[0]
 
 
-def _load_sidecar(path: Path) -> dict[str, tuple[tuple[int], list[float]]]:
-    rows: dict[str, tuple[tuple[int], list[float]]] = {}
-    for lineno, line in enumerate(_read(path, "vector sidecar", parse=str.splitlines), 1):
+def _load_sidecar(path: Path) -> tuple[str, dict[str, tuple[tuple[int], list[float]]]]:
+    text, rows = _read(path, "vector sidecar"), {}
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         word, sep, rest = line.partition("\t")
@@ -157,7 +182,7 @@ def _load_sidecar(path: Path) -> dict[str, tuple[tuple[int], list[float]]]:
         if not all(map(math.isfinite, vec)):
             raise LexiconError(f"{path}:{lineno}: data holds NaN or infinity")
         rows[word] = (len(vec),), vec
-    return rows
+    return text, rows
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
@@ -165,13 +190,19 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
     Errors name the file, then the offending entry by number and word (a
     duplicate sense by word and type); JSON syntax errors carry the line number.
+    A file read again with the same text, and the same sidecars, is not parsed again.
     """
-    path = Path(path)
-    raw = _read(path, "lexicon")
+    dims, entries = _load(Path(path), "lexicon", LexiconError, _parse_lexicon)
+    lexicon = Lexicon(dims, {})  # a dict of its own over the shared, frozen entries
+    lexicon.update(entries)  # not through Lexicon(): every shape was checked
+    return lexicon
+
+
+def _parse_lexicon(path: Path, raw, refs: dict) -> tuple[dict, dict[str, LexiconEntry]]:
     # One pass: each distinct type string is parsed, and each (type string, shape)
     # checked, once; all data goes through one float64 conversion into one buffer.
     # Sidecars: one realpath per data_ref spelling, one read per real path.
-    types, refs, sidecars = {}, {}, {}
+    types, sidecars = {}, {}
     fits, inline, flat = set(), [], []
     senses: dict[str, list[tuple[PregroupType, int, tuple[int, ...]]]] = {}  # (type, start, shape)
     try:
@@ -198,9 +229,10 @@ def load_lexicon(path: str | Path) -> Lexicon:
                                            f"'{type_}' has {len(type_)} factors")
                     ref = item["data_ref"]
                     if ref not in refs:  # realpath, unlike resolve, leaves a loop to the read
-                        refs[ref] = real = os.path.realpath(path.parent / ref)
+                        real = os.path.realpath(path.parent / ref)
                         sidecars[real] = sidecars.get(real) or _load_sidecar(Path(real))
-                    rows = sidecars[refs[ref]]
+                        refs[ref] = real, sidecars[real][0]
+                    rows = sidecars[refs[ref][0]][1]
                     if word not in rows:
                         raise LexiconError(f"sidecar {ref!r} has no row for {word!r}")
                     shape, data = rows[word]
@@ -221,7 +253,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
         # LexiconEntry finds duplicate senses, Lexicon missing bases
         entries = {w: LexiconEntry(w, tuple(TypedTensor(t, values[i:i + math.prod(n)].reshape(n))
                                             for t, i, n in ss)) for w, ss in senses.items()}
-        lexicon = Lexicon(dims, {})
+        Lexicon(dims, {})  # its check for missing bases
     except ValueError as exc:
         for k, item in inline:  # an entry whose data does not convert outranks any later error
             try:
@@ -230,5 +262,4 @@ def load_lexicon(path: str | Path) -> Lexicon:
                 exc = LexiconError(f"entry {k} ({item['word']!r}): {bad}")
                 break
         raise LexiconError(f"{path}: {exc}") from exc
-    lexicon.update(entries)  # not through Lexicon(): every shape was checked above
-    return lexicon
+    return dims, entries

@@ -329,6 +329,8 @@ class _Chart:
 def _check(words: Sequence, target: PregroupType) -> None:
     if len(words) == 0:
         raise ValueError("need at least one type to reduce")
+    if not all(words):
+        raise ValueError("every word needs at least one type")
     if any([f.z for f in target]):
         raise ValueError("target must consist of plain factors")
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lexicon import _read
+from .lexicon import _load
 from .pregroup import atom, parse_type
 from .tensor import TypedTensor, _read_only_float64, epsilon_contract
 
@@ -143,9 +143,13 @@ def intersect(universe: Universe, theme: np.ndarray, rheme: str) -> np.ndarray:
 
 def load_universe(path: str | Path) -> tuple[Universe, dict[str, Relation]]:
     """Load a universe file: {"individuals": [...], "relations":
-    {name: [[subject, object], ...]}} with names, not indices.  Errors name the file."""
-    path = Path(path)
-    raw = _read(path, "universe", UniverseError)
+    {name: [[subject, object], ...]}} with names, not indices.  Errors name the file; a file
+    read again with the same text is not parsed again."""
+    universe, relations = _load(Path(path), "universe", UniverseError, _parse_universe)
+    return universe, dict(relations)  # a dict of its own over the shared, frozen relations
+
+
+def _parse_universe(path: Path, raw, _refs: dict) -> tuple[Universe, dict[str, Relation]]:
     try:
         if not isinstance(raw, dict) or "individuals" not in raw:
             raise UniverseError("expected an object with 'individuals'")

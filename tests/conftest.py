@@ -34,3 +34,24 @@ def write_lexicon(tmp_path):
         return p
 
     return _write
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """The counts of ``json.loads`` and ``parse_type`` calls made in the lexicon and universe
+    loaders, kept up to date, with the loaders' memo of past loads emptied for the test."""
+    from intonsem import lexicon
+
+    counts = {"json.loads": 0, "parse_type": 0}
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(lexicon, "_kept", {})
+    monkeypatch.setattr(json, "loads", counting("json.loads", json.loads))
+    monkeypatch.setattr(lexicon, "parse_type", counting("parse_type", lexicon.parse_type))
+    return counts

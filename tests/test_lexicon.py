@@ -1,9 +1,13 @@
+import json
 import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from intonsem import cli
 from intonsem import lexicon as lexicon_module
 from intonsem.lexicon import (
     Lexicon,
@@ -565,6 +569,160 @@ class TestEntryAndLexiconInvariants:
         lex = Lexicon({"n": 2, "s": 1, "theta": 2, "rho": 2}, {})
         with pytest.raises(LexiconError, match="shared space"):
             lex.shared_dim()
+
+
+_TINY = {  # the meaning of "{T a} {R b}" is [1, 2] * [3, 5] = [3, 10]
+    "dims": dict.fromkeys(("n", "s", "theta", "rho"), 2),
+    "entries": [{"word": "a", "type": "theta", "shape": [2], "data": [1, 2]},
+                {"word": "b", "type": "rho", "data_ref": "v.tsv"}],
+}
+
+
+def _write_tiny(folder, sidecar="b\t3 5\n"):
+    folder.mkdir(exist_ok=True)
+    if sidecar is not None:
+        (folder / "v.tsv").write_text(sidecar)
+    (folder / "lex.json").write_text(json.dumps(_TINY))
+    return folder / "lex.json"
+
+
+class TestLoadMemo:
+    """Every load reads the lexicon and its sidecars; only the same text at each, with each
+    data_ref at the same real path, skips the parse, and failures are never kept."""
+
+    @pytest.fixture()
+    def meaning(self, capsys, parses):
+        """``meaning "{T a} {R b}" --lexicon PATH`` through ``cli.main``: (exit code, its
+        meaning line or its error) and the ``json.loads`` calls it made."""
+
+        def _meaning(path):
+            before = parses["json.loads"]
+            code = cli.main(["meaning", "{T a} {R b}", "--lexicon", str(path)])
+            out, err = capsys.readouterr()
+            loads = parses["json.loads"] - before
+            return (code, out.splitlines()[-1].strip() if code == 0 else err), loads
+
+        return _meaning
+
+    def test_a_second_call_parses_nothing(self, tmp_path, meaning, parses):
+        p = _write_tiny(tmp_path)
+        assert meaning(p) == ((0, "meaning (order 1): [3, 10]"), 1)
+        assert parses == {"json.loads": 1, "parse_type": 2}
+        assert meaning(p) == ((0, "meaning (order 1): [3, 10]"), 0)
+        assert parses == {"json.loads": 1, "parse_type": 2}
+
+    def test_a_same_size_edit_with_its_mtime_put_back(self, tmp_path, meaning):
+        p = _write_tiny(tmp_path)
+        assert meaning(p) == ((0, "meaning (order 1): [3, 10]"), 1)
+        before = p.stat()
+        p.write_text(p.read_text().replace("[1, 2]", "[7, 2]"))
+        os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = p.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert meaning(p) == ((0, "meaning (order 1): [21, 10]"), 1)
+
+    def test_a_sidecar_edit(self, tmp_path, meaning):
+        p = _write_tiny(tmp_path)
+        assert meaning(p) == ((0, "meaning (order 1): [3, 10]"), 1)
+        (tmp_path / "v.tsv").write_text("b\t4 5\n")
+        assert meaning(p) == ((0, "meaning (order 1): [4, 10]"), 1)
+
+    def test_a_sidecar_symlink_retargeted(self, tmp_path, meaning):
+        p = _write_tiny(tmp_path, sidecar=None)
+        (tmp_path / "three.tsv").write_text("b\t3 5\n")
+        (tmp_path / "six.tsv").write_text("b\t6 5\n")
+        (tmp_path / "v.tsv").symlink_to("three.tsv")
+        assert meaning(p) == ((0, "meaning (order 1): [3, 10]"), 1)
+        (tmp_path / "next.tsv").symlink_to("six.tsv")
+        os.replace(tmp_path / "next.tsv", tmp_path / "v.tsv")
+        assert meaning(p) == ((0, "meaning (order 1): [6, 10]"), 1)
+        assert meaning(p) == ((0, "meaning (order 1): [6, 10]"), 0)
+
+    def test_a_relative_path_after_a_chdir(self, tmp_path, meaning, monkeypatch):
+        # the same lexicon text in two folders, whose sidecars differ
+        _write_tiny(tmp_path / "one")
+        _write_tiny(tmp_path / "two", sidecar="b\t6 5\n")
+        monkeypatch.chdir(tmp_path / "one")
+        assert meaning("lex.json") == ((0, "meaning (order 1): [3, 10]"), 1)
+        monkeypatch.chdir(tmp_path / "two")
+        assert meaning("lex.json") == ((0, "meaning (order 1): [6, 10]"), 1)
+
+    @pytest.mark.parametrize("broken", ["lexicon", "sidecar"])
+    def test_break_fix_break(self, tmp_path, meaning, broken):
+        p = _write_tiny(tmp_path)
+        good = p.read_text()
+
+        def break_it():
+            if broken == "lexicon":
+                p.write_text(good.replace("[1, 2]", "[1, 2, 3]"))
+            else:
+                (tmp_path / "v.tsv").unlink()
+
+        error = {"lexicon": f"error: {p}: entry 1 ('a'): data length 3 does not fill shape [2]\n",
+                 "sidecar": f"error: {p}: entry 2 ('b'): cannot read vector sidecar "
+                            f"{tmp_path.resolve() / 'v.tsv'}: [Errno 2] No such file or "
+                            f"directory: '{tmp_path.resolve() / 'v.tsv'}'\n"}[broken]
+        break_it()
+        assert meaning(p) == ((2, error), 1)
+        _write_tiny(tmp_path)
+        assert meaning(p) == ((0, "meaning (order 1): [3, 10]"), 1)
+        break_it()
+        assert meaning(p) == ((2, error), 1)
+
+    def test_a_returned_lexicon_is_the_callers_own(self, tmp_path, parses):
+        p = _write_tiny(tmp_path)
+        lex = load_lexicon(p)
+        lex.spaces["n"] = 3
+        lex["c"] = lex.pop("a")
+        again = load_lexicon(p)
+        assert parses["json.loads"] == 1  # the second load is the kept one, unparsed
+        assert list(again) == ["a", "b"] and list(lex) == ["b", "c"]
+        assert again.spaces == _TINY["dims"] and again.spaces is not lex.spaces
+        assert again["b"] is lex["b"]  # the entries are frozen, so shared
+        assert not again["b"].senses[0].array.flags.writeable
+
+    def test_the_last_few_loads_are_kept(self, tmp_path, parses):
+        paths = []
+        for k in range(lexicon_module._KEPT + 1):
+            paths.append(tmp_path / f"lex{k}.json")
+            paths[-1].write_text(json.dumps({**_TINY, "entries": _TINY["entries"][:1]}) + " " * k)
+        for p in paths:
+            load_lexicon(p)
+        assert parses["json.loads"] == len(paths)
+        for p in paths[1:]:
+            load_lexicon(p)
+        assert parses["json.loads"] == len(paths)
+        load_lexicon(paths[0])  # the oldest, so no longer kept
+        assert parses["json.loads"] == len(paths) + 1
+
+    def test_threads_loading_at_once(self, tmp_path, parses):
+        # more files than are kept, so the threads also evict each other's loads
+        paths = [tmp_path / f"lex{k}.json" for k in range(lexicon_module._KEPT + 2)]
+        for k, p in enumerate(paths):
+            p.write_text(json.dumps({**_TINY, "entries": [dict(_TINY["entries"][0], data=[k, 2])]}))
+        errors, seen = [], []
+
+        def work(start):
+            try:
+                for i in range(1500):
+                    k = (start + i) % len(paths)
+                    seen.append((k, load_lexicon(paths[k])["a"].senses[0].array.tolist()))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(seen) == 6000 and all(values == [k, 2] for k, values in seen)
 
 
 class TestCosine:

@@ -330,6 +330,10 @@ class TestChart:
         (only,) = chart_reductions([[unit], [unit]], unit)
         assert only == ((0, 0), ReductionDiagram((), (), 0))
 
+    def test_a_word_without_types_is_refused(self):
+        with pytest.raises(ValueError, match="^every word needs at least one type$"):
+            list(chart_reductions([[atom("n")], []], atom("n")))
+
     def test_forty_five_factor_chain_has_one_reduction(self):
         chain = parse_type("n n.r s n.l n" + " n.r n" * 20)
         assert len(chain) == 45

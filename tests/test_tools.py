@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import intonsem
-from intonsem import cli
+from intonsem import cli, lexicon
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,16 +32,30 @@ def bench(monkeypatch):
 
 def test_every_timed_call_runs(bench):
     calls = bench._calls(intonsem)
-    assert len(calls) == 13 and len(dict(calls)) == 13
+    assert len(calls) == 16 and len(dict(calls)) == 16
     for name, call in calls:
         call()
+
+
+def test_cold_loads_parse_each_time_and_repeated_loads_do_not(bench, parses):
+    assert bench.COLD_COPIES > lexicon._KEPT
+    calls = dict(bench._calls(intonsem))
+    for name in ("load_lexicon_long_spans", "load_lexicon_shipped", "load_universe_32"):
+        before = parses["json.loads"]
+        for _ in range(2 * bench.COLD_COPIES):
+            calls[f"{name}_us"]()
+        assert parses["json.loads"] - before == 2 * bench.COLD_COPIES, name
+        calls[f"{name}_repeat_us"]()
+        before = parses["json.loads"]
+        calls[f"{name}_repeat_us"]()
+        assert parses["json.loads"] == before, name
 
 
 def test_each_tree_is_a_package_of_its_own(bench):
     try:
         for package in (bench._load("a", ROOT), bench._load("b", ROOT)):
             calls = bench._calls(package)
-            assert len(calls) == 13
+            assert len(calls) == 16
             for name, call in calls:
                 call()
         modules = {name for name in sys.modules if name.startswith("intonsem_a.")}

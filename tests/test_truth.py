@@ -1,9 +1,11 @@
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
 
+from intonsem import cli
 from intonsem.intonation import meaning, parse_annotated
 from intonsem.lexicon import Lexicon, LexiconEntry
 from intonsem.pregroup import atom, parse_type, reduce
@@ -248,6 +250,71 @@ class TestLoadUniverse:
         )
         with pytest.raises(UnknownIndividualError):
             load_universe(p)
+
+
+_LIKES = {"individuals": ["ann", "bob"], "relations": {"likes": [["ann", "bob"]]}}
+
+
+class TestLoadMemo:
+    """Every load reads the universe file; only the same text skips the parse, and failures
+    are never kept."""
+
+    @pytest.fixture()
+    def truth(self, capsys, parses):
+        """``truth "ann likes bob" --universe PATH`` through ``cli.main``: (exit code, its
+        stdout or its error) and the ``json.loads`` calls it made."""
+
+        def _truth(path):
+            before = parses["json.loads"]
+            code = cli.main(["truth", "ann likes bob", "--universe", str(path)])
+            out, err = capsys.readouterr()
+            return (code, out if code == 0 else err), parses["json.loads"] - before
+
+        return _truth
+
+    def test_a_second_call_parses_nothing(self, tmp_path, truth, parses):
+        p = tmp_path / "u.json"
+        p.write_text(json.dumps(_LIKES))
+        first, loads = truth(p)
+        assert (first[0], loads) == (0, 1) and "membership: 1" in first[1]
+        assert truth(p) == (first, 0)
+        assert parses == {"json.loads": 1, "parse_type": 0}
+
+    def test_a_same_size_edit_with_its_mtime_put_back(self, tmp_path, truth):
+        p = tmp_path / "u.json"
+        p.write_text(json.dumps(_LIKES))
+        (code, out), _ = truth(p)
+        assert (code, out.splitlines()[-1]) == (0, "membership: 1")
+        before = p.stat()
+        p.write_text(p.read_text().replace('["ann", "bob"]]', '["bob", "ann"]]'))
+        os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = p.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        (code, out), loads = truth(p)
+        assert (code, out.splitlines()[-1], loads) == (0, "membership: 0", 1)
+
+    def test_break_fix_break(self, tmp_path, truth):
+        p = tmp_path / "u.json"
+        broken = json.dumps({**_LIKES, "relations": {"likes": [["ann", "cid"]]}})
+        error = f"error: {p}: unknown individual 'cid'; universe has ann, bob\n"
+        p.write_text(broken)
+        assert truth(p) == ((2, error), 1)
+        p.write_text(json.dumps(_LIKES))
+        (code, _), loads = truth(p)
+        assert (code, loads) == (0, 1)
+        p.write_text(broken)
+        assert truth(p) == ((2, error), 1)
+
+    def test_returned_relations_are_the_callers_own(self, tmp_path, parses):
+        p = tmp_path / "u.json"
+        p.write_text(json.dumps(_LIKES))
+        universe, relations = load_universe(p)
+        relations["hates"] = relations.pop("likes")
+        again, kept = load_universe(p)
+        assert parses["json.loads"] == 1  # the second load is the kept one, unparsed
+        assert list(kept) == ["likes"] and list(relations) == ["hates"]
+        assert again is universe and kept["likes"] is relations["hates"]  # frozen, so shared
+        assert not kept["likes"].matrix.flags.writeable
 
 
 class TestCategoricalAgreement:

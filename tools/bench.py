@@ -11,10 +11,13 @@ or 8 ms by whether the host's other CPU was free.  A file holds the last run onl
 figures from different runs do not compare.
 
 ``calls`` imports each tree into this process as the package ``intonsem_<label>`` (its
-imports are relative, so trees share no module) and times 13 calls on inputs from this
+imports are relative, so trees share no module) and times 16 calls on inputs from this
 checkout's ``perfbench/workloads.py``, each ``REPEATS`` times per round on every tree in
 turn, about 10 ms a timing; a figure is the fastest, in microseconds per call.  With trees
 ``parent`` and ``change``, the file also holds their ratios (parent time / change time).
+A loader keeps the values of its last few loads and does not parse a file read again with
+the same text, so ``load_*_us`` take each file's ``COLD_COPIES`` copies in turn, each with
+its own trailing spaces, and every load parses.  ``load_*_repeat_us`` load one unchanged file.
 
 ``startup`` times fresh ``python -m intonsem.cli`` processes, one per command and tree in
 a round, and one each of ``python -c pass`` and ``python -c "import numpy"``: [first
@@ -28,6 +31,7 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import platform
@@ -43,6 +47,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 CALL_ROUNDS = 15
 REPEATS = 9  # timings of every call on each tree in a round; the figure is the fastest of all
+COLD_COPIES = 8  # copies of each file a cold load takes in turn: more than a loader keeps
 STARTUP_ROUNDS = 21  # processes per command and tree
 
 # name -> (argv, expected exit code); data paths are relative to the tree's root
@@ -91,6 +96,22 @@ def _load(label: str, root: Path):
     return package
 
 
+def _cold(load, source: Path, *sidecars: Path):
+    """A call of ``load`` on the next of ``COLD_COPIES`` copies of ``source``, each ``source``'s
+    text and its own count of trailing spaces, in ``.perfbench/cold/`` beside ``sidecars``."""
+    import workloads as wl
+
+    folder = wl.OUT / "cold"
+    folder.mkdir(exist_ok=True)
+    for sidecar in sidecars:
+        (folder / sidecar.name).write_bytes(sidecar.read_bytes())
+    copies = [folder / f"{k}-{source.name}" for k in range(COLD_COPIES)]
+    for k, copy in enumerate(copies):
+        copy.write_text(source.read_text() + " " * (k + 1))  # no copy holds the source's text
+    paths = itertools.cycle(copies)
+    return lambda: load(next(paths))
+
+
 def _calls(package):
     """(name, zero-argument callable) for every timed call of ``package``, an intonsem tree."""
     import numpy as np
@@ -103,7 +124,8 @@ def _calls(package):
 
     wl.OUT.mkdir(exist_ok=True)
     wl.write_long_lexicon()
-    lex = lexicon.load_lexicon(wl.ROOT / wl.LONG_LEXICON)
+    long_lexicon = wl.ROOT / wl.LONG_LEXICON
+    lex = lexicon.load_lexicon(long_lexicon)
     sentence = wl.long_theme_pool()[8][0]  # "{T <8 words>} {R <noun>}"
     annotated = intonation.parse_annotated(sentence)
     theme, rheme = ([[s.type for s in lex[w].senses] for w in span.tokens]
@@ -125,8 +147,8 @@ def _calls(package):
     meaning_argv = list(wl.long_meaning_argv(sentence))
     args = cli._parse_args(meaning_argv)
     _, document, _ = args.func(args)
-    shipped = str(wl.ROOT / wl.SHIPPED_LEXICON)
-    reduce_argv = ["reduce", "Mary likes John", "--lexicon", shipped, "--format", "json"]
+    shipped = wl.ROOT / wl.SHIPPED_LEXICON
+    reduce_argv = ["reduce", "Mary likes John", "--lexicon", str(shipped), "--format", "json"]
 
     def main_reduce():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -139,7 +161,8 @@ def _calls(package):
     chain = wl.chain_types(16)  # 37 factors: long-spans' longest reduce input
     return [
         ("parse_type_chain_37_us", lambda: pregroup.parse_type(chain)),
-        ("load_lexicon_long_spans_us", lambda: lexicon.load_lexicon(wl.ROOT / wl.LONG_LEXICON)),
+        ("load_lexicon_long_spans_us", _cold(lexicon.load_lexicon, long_lexicon)),
+        ("load_lexicon_long_spans_repeat_us", lambda: lexicon.load_lexicon(long_lexicon)),
         ("chart_reductions_1_word_us", lambda: list(pregroup.chart_reductions(rheme, rho))),
         ("chart_reductions_8_word_theme_us", lambda: list(pregroup.chart_reductions(theme, theta))),
         ("epsilon_contract_d32_us", lambda: tensor.epsilon_contract(subject, 0, relation, 0)),
@@ -147,10 +170,13 @@ def _calls(package):
         ("compose_7_link_theme_d4_us", lambda: tensor.compose(typing.senses, typing.diagram)),
         ("compose_ditransitive_d50_us", lambda: tensor.compose(gives, gives_diagram)),
         ("stable_json_theme_8_us", lambda: cli._stable_json(document)),
-        ("load_universe_32_us", lambda: truth.load_universe(universe)),
+        ("load_universe_32_us", _cold(truth.load_universe, universe)),
+        ("load_universe_32_repeat_us", lambda: truth.load_universe(universe)),
         ("cli_main_reduce_words_us", main_reduce),
         ("parse_args_meaning_us", lambda: cli._parse_args(meaning_argv)),
-        ("load_lexicon_shipped_us", lambda: lexicon.load_lexicon(shipped)),
+        ("load_lexicon_shipped_us",
+         _cold(lexicon.load_lexicon, shipped, shipped.with_name("vectors.tsv"))),
+        ("load_lexicon_shipped_repeat_us", lambda: lexicon.load_lexicon(shipped)),
     ]
 
 
